@@ -169,7 +169,7 @@ func BenchmarkAblateAffinity(b *testing.B) {
 func BenchmarkLocalAccess(b *testing.B) {
 	cfg := numasim.DefaultConfig()
 	cfg.NProc = 1
-	sys := numasim.NewSystem(cfg, numasim.AllLocalPolicy(), numasim.Affinity)
+	sys := newSystem(b, cfg, numasim.AllLocalPolicy())
 	va := sys.Runtime.Alloc("data", 4096)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -230,7 +230,7 @@ func BenchmarkTable3Parallel(b *testing.B) {
 func BenchmarkPageMigration(b *testing.B) {
 	cfg := numasim.DefaultConfig()
 	cfg.NProc = 2
-	sys := numasim.NewSystem(cfg, numasim.NeverPinPolicy(), numasim.Affinity)
+	sys := newSystem(b, cfg, numasim.NeverPinPolicy())
 	va := sys.Runtime.Alloc("pingpong", 4096)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -252,7 +252,7 @@ func BenchmarkPageMigration(b *testing.B) {
 func BenchmarkFaultPath(b *testing.B) {
 	cfg := numasim.DefaultConfig()
 	cfg.NProc = 1
-	sys := numasim.NewSystem(cfg, numasim.AllLocalPolicy(), numasim.Affinity)
+	sys := newSystem(b, cfg, numasim.AllLocalPolicy())
 	va := sys.Runtime.Alloc("fault", 4096)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -4,36 +4,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
-	"time"
 
-	"numasim/internal/chaos"
 	"numasim/internal/harness"
 )
-
-// experimentOptions carries the subset of acesim's flags that apply to a
-// registry experiment run.
-type experimentOptions struct {
-	app        string
-	appSet     bool // whether -app was given explicitly
-	policy     string
-	polSet     bool // whether -policy was given explicitly
-	topology   string
-	nproc      int
-	workers    int
-	threshold  int
-	parallel   int
-	frames     string
-	chaos      chaos.Config
-	audit      int
-	timeout    time.Duration
-	retries    int
-	reproDir   string
-	keepGoing  bool
-	stallLimit int
-	command    string
-}
 
 // flagWasSet reports whether the named flag appeared on the command line
 // (as opposed to holding its default).
@@ -47,25 +20,9 @@ func flagWasSet(fs *flag.FlagSet, name string) bool {
 	return set
 }
 
-// parseFrames parses a comma-separated list of local-frame budgets.
-func parseFrames(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var frames []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad -frames entry %q (want positive integers)", part)
-		}
-		frames = append(frames, n)
-	}
-	return frames, nil
-}
-
 // runExperiment executes one harness-registry experiment ("list" prints
 // the registry) and returns the process exit code.
-func runExperiment(name string, eo experimentOptions, stdout, stderr io.Writer) int {
+func runExperiment(name string, opts harness.Options, stdout, stderr io.Writer) int {
 	if name == "list" {
 		for _, n := range harness.Names() {
 			e, _ := harness.Lookup(n)
@@ -77,30 +34,6 @@ func runExperiment(name string, eo experimentOptions, stdout, stderr io.Writer) 
 	if !ok {
 		fmt.Fprintf(stderr, "acesim: unknown experiment %q (try -exp list)\n", name)
 		return 1
-	}
-	frames, err := parseFrames(eo.frames)
-	if err != nil {
-		fmt.Fprintln(stderr, "acesim:", err)
-		return 2
-	}
-	opts := harness.Options{
-		NProc: eo.nproc, Workers: eo.workers, Threshold: eo.threshold,
-		Topology:    eo.topology,
-		Parallelism: eo.parallel, PressureFrames: frames, Chaos: eo.chaos,
-		Audit: eo.audit, Timeout: eo.timeout, Retries: eo.retries,
-		ReproDir: eo.reproDir, KeepGoing: eo.keepGoing,
-		StallLimit: eo.stallLimit, Command: eo.command,
-	}
-	// -app has a single-run default (IMatMult) that should not override an
-	// experiment's own default application; only pass it through when the
-	// user actually chose one.
-	if eo.appSet {
-		opts.App = eo.app
-	}
-	// Likewise -policy: its single-run default (threshold) must not
-	// override an experiment's own policy choice.
-	if eo.polSet {
-		opts.Policy = eo.policy
 	}
 	res, err := e.Run(opts)
 	if err != nil {

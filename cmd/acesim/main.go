@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	acesim -app IMatMult [-policy threshold] [-threshold 4] [-nproc 7]
+//	acesim -app IMatMult [-policy threshold] [-nproc 7]
 //	       [-topology ace|4socket|mesh8]
 //	       [-workers N] [-sched affinity] [-trace] [-traceout FILE]
 //	       [-trace-out FILE] [-unixmaster] [-pagesize N] [-size N]
@@ -27,18 +27,17 @@
 //
 // -exp NAME runs a harness-registry experiment instead of a single app
 // (the same registry the tables command prints from; -exp list names
-// them). The pressure sweep takes -frames for its local-frame budgets,
-// and the -chaos-seed/-chaos-fail/-chaos-delay flags enable seeded fault
+// them); -size sets the swept application's problem size. The pressure
+// sweep takes -frames for its local-frame budgets, and the
+// -chaos-seed/-chaos-fail/-chaos-delay flags enable seeded fault
 // injection.
 //
 // Policies are registry specs of the form "name:key=val,..." (see
 // policy.Usage): threshold (default), allglobal, alllocal, neverpin,
-// pragma, reconsider, freezedefrost, decaythreshold, bandit, classifier,
-// coplace. Parameters ride on the spec ("threshold:limit=2"); the old
-// spelling of passing a bare name plus -threshold still works but is
-// deprecated in favour of the spec syntax. Apps: ParMult, Gfetch,
-// IMatMult, Primes1, Primes2, Primes2-untuned, Primes3, FFT, PlyTrace,
-// plus the Phased and Zipf policy probes.
+// pragma, reconsider, freezedefrost, decaythreshold, bandit, classifier.
+// Parameters ride on the spec ("threshold:limit=2"). Apps: ParMult,
+// Gfetch, IMatMult, Primes1, Primes2, Primes2-untuned, Primes3, FFT,
+// PlyTrace, plus the Phased and Zipf policy probes.
 package main
 
 import (
@@ -47,17 +46,15 @@ import (
 	"io"
 	"os"
 	"strings"
-	"time"
 
 	"numasim/internal/ace"
 	"numasim/internal/chaos"
+	"numasim/internal/cliflags"
 	"numasim/internal/cthreads"
 	"numasim/internal/harness"
 	"numasim/internal/metrics"
 	"numasim/internal/policy"
-	"numasim/internal/profiling"
 	"numasim/internal/sched"
-	"numasim/internal/sim"
 	"numasim/internal/simtrace"
 	"numasim/internal/topology"
 	"numasim/internal/trace"
@@ -68,7 +65,6 @@ import (
 // runOpts carries the per-run configuration shared by every -app entry.
 type runOpts struct {
 	polName     string
-	threshold   int
 	topology    string
 	nproc       int
 	workers     int
@@ -101,7 +97,7 @@ func runOne(app string, o runOpts, observe func(*ace.Machine)) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	pol, err := policy.ByName(o.polName, o.threshold)
+	pol, err := policy.Parse(o.polName)
 	if err != nil {
 		return "", err
 	}
@@ -255,8 +251,8 @@ const usageText = `Usage: acesim [flags]
 Simulate the paper's applications on the ACE under a NUMA placement
 policy and report timing, placement and reference statistics.
 
-  acesim -app IMatMult[,Gfetch,...] [-policy SPEC] [-threshold N]
-         [-nproc N] [-topology ace|4socket|mesh8] [-workers N]
+  acesim -app IMatMult[,Gfetch,...] [-policy SPEC] [-nproc N]
+         [-topology ace|4socket|mesh8] [-workers N]
          [-sched affinity|noaffinity] [-pagesize BYTES] [-size N]
          [-unixmaster] [-perproc] [-replication=false] [-parallel N]
   acesim -trace [-traceout FILE] [-trace-out FILE]      reference/event traces
@@ -283,7 +279,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	app := fs.String("app", "IMatMult", "application to run, or a comma-separated list (case-insensitive)")
 	polName := fs.String("policy", "threshold", "placement policy, as a registry spec like decaythreshold or threshold:limit=2")
-	threshold := fs.Int("threshold", policy.DefaultThreshold, "move limit for the threshold policy (deprecated: prefer -policy threshold:limit=N)")
 	nproc := fs.Int("nproc", 7, "number of processors")
 	topo := fs.String("topology", "", "machine topology: ace (default), "+strings.Join(topology.Names()[1:], ", "))
 	workers := fs.Int("workers", 0, "worker threads (default: one per processor)")
@@ -297,28 +292,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	perProc := fs.Bool("perproc", false, "report per-processor reference counts")
 	replication := fs.Bool("replication", true, "replicate read-only pages (disable for the Li-style migration ablation)")
 	parallel := fs.Int("parallel", 0, "simulations to run concurrently when -app lists several (0: one per host CPU; results are identical at every setting)")
-	exp := fs.String("exp", "", "run a harness experiment instead of a single app (list: print the registry); -app, -nproc, -workers, -threshold and -parallel apply")
-	framesFlag := fs.String("frames", "", "comma-separated local-frame budgets for -exp pressuresweep")
-	chaosSeed := fs.Int64("chaos-seed", 0, "seed for fault injection")
-	chaosFail := fs.Float64("chaos-fail", 0, "probability a local frame allocation transiently fails (0 disables)")
-	chaosDelay := fs.Float64("chaos-delay", 0, "probability a page move is delayed (0 disables)")
-	chaosPanicAt := fs.Duration("chaos-panic-at", 0, "inject one panic at this virtual time (crash drill; 0 disables)")
-	chaosStallAt := fs.Duration("chaos-stall-at", 0, "inject one virtual-time stall at this virtual time (watchdog drill; 0 disables)")
-	chaosNodeFail := fs.String("chaos-node-fail", "", "node failure schedule: comma-separated NODE@OFF[-ON] virtual times, e.g. 2@10ms-60ms")
-	chaosLinkFail := fs.String("chaos-link-fail", "", "link failure schedule: comma-separated LINK@AT[xFACTOR][-RESTORE], e.g. node0-node1@5msx4-9ms")
-	audit := fs.Int("audit", 0, "online protocol-audit sampling stride (0: off, 1: audit every protocol action, N: sampled)")
-	timeout := fs.Duration("timeout", 0, "wall-clock budget per supervised run (0: none)")
-	retries := fs.Int("retries", 0, "re-run a failed unit up to this many times before giving up")
-	reproDir := fs.String("repro-dir", "", "write a repro bundle for each failed run into this directory (implies -keep-going)")
-	keepGoing := fs.Bool("keep-going", false, "continue past failed runs and report partial results")
-	stallLimit := fs.Int("stall-limit", 0, "engine stall-watchdog threshold in dispatches (0: default)")
-	cpuProf := fs.String("cpuprofile", "", "write a CPU profile of the whole run to `file`")
-	memProf := fs.String("memprofile", "", "write a heap profile to `file` at exit")
+	exp := fs.String("exp", "", "run a harness experiment instead of a single app (list: print the registry); -app, -size, -nproc, -workers and -parallel apply")
+	common := cliflags.Bind(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
-	stopProf, err := profiling.Start(*cpuProf, *memProf)
+	stopProf, err := common.StartProfiling()
 	if err != nil {
 		fmt.Fprintln(stderr, "acesim:", err)
 		return 2
@@ -335,24 +315,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	command := "acesim " + strings.Join(args, " ")
-	cc, err := chaosConfig(*chaosSeed, *chaosFail, *chaosDelay, *chaosPanicAt, *chaosStallAt, *chaosNodeFail, *chaosLinkFail)
-	if err != nil {
+	// The shared flags (chaos, supervision, -frames) land in harness
+	// options. A single-app run uses them for supervision (timeout,
+	// retries, repro bundles); with none of those flags set,
+	// opts.Supervise runs the simulation directly.
+	opts := harness.Options{
+		NProc: *nproc, Workers: *workers, Topology: *topo, AppSize: *size,
+		Command: "acesim " + strings.Join(args, " "),
+	}
+	if err := common.Apply(&opts); err != nil {
 		fmt.Fprintln(stderr, "acesim:", err)
 		return 2
 	}
 
 	if *exp != "" {
-		return runExperiment(*exp, experimentOptions{
-			app: *app, appSet: flagWasSet(fs, "app"),
-			policy: *polName, polSet: flagWasSet(fs, "policy"),
-			nproc: *nproc, topology: *topo,
-			workers: *workers, threshold: *threshold, parallel: *parallel,
-			frames: *framesFlag, chaos: cc,
-			audit: *audit, timeout: *timeout, retries: *retries,
-			reproDir: *reproDir, keepGoing: *keepGoing, stallLimit: *stallLimit,
-			command: command,
-		}, stdout, stderr)
+		// -app and -policy have single-run defaults (IMatMult, threshold)
+		// that must not override an experiment's own choices; only pass
+		// them through when the user actually gave them.
+		if flagWasSet(fs, "app") {
+			opts.App = *app
+		}
+		if flagWasSet(fs, "policy") {
+			opts.Policy = *polName
+		}
+		opts.Parallelism = *parallel
+		return runExperiment(*exp, opts, stdout, stderr)
 	}
 
 	apps := strings.Split(*app, ",")
@@ -368,38 +355,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	// Supervision (timeout, retries, repro bundles) is configured through
-	// harness options; with none of the flags set, sup.Supervise runs the
-	// simulation directly.
-	sup := harness.Options{
-		NProc: *nproc, Workers: *workers, Threshold: *threshold, App: *app,
-		Topology: *topo,
-		Chaos:    cc, Audit: *audit, Timeout: *timeout, Retries: *retries,
-		ReproDir: *reproDir, KeepGoing: *keepGoing, StallLimit: *stallLimit,
-		Command: command,
-	}
+	opts.App = *app
 	o := runOpts{
-		polName:   *polName,
-		threshold: *threshold,
-		topology:  *topo,
-		nproc:     *nproc,
-		workers:   *workers,
-		mode:      mode,
-		doTrace:   *doTrace, traceOut: *traceOut, chromeOut: *chromeOut,
+		polName:  *polName,
+		topology: *topo,
+		nproc:    *nproc,
+		workers:  *workers,
+		mode:     mode,
+		doTrace:  *doTrace, traceOut: *traceOut, chromeOut: *chromeOut,
 		unixMaster: *unixMaster,
 		pageSize:   *pageSize,
 		size:       *size,
 		perProc:    *perProc, replication: *replication,
-		audit: *audit, stallLimit: *stallLimit,
-		forensics: *audit > 0 || *timeout > 0 || *retries > 0 || *reproDir != "",
-		chaos:     cc,
+		audit: opts.Audit, stallLimit: opts.StallLimit,
+		forensics: opts.Audit > 0 || opts.Timeout > 0 || opts.Retries > 0 || opts.ReproDir != "",
+		chaos:     opts.Chaos,
 	}
 
 	// Run every app concurrently (bounded), buffer the reports, and print
 	// them in the order given on the command line.
 	reports := make([]string, len(apps))
 	errs := harness.NewPool(*parallel).RunAll(len(apps), func(i int) error {
-		return sup.Supervise(apps[i], func(observe func(*ace.Machine)) error {
+		return opts.Supervise(apps[i], func(observe func(*ace.Machine)) error {
 			rep, err := runOne(apps[i], o, observe)
 			if err != nil {
 				return fmt.Errorf("%s: %w", apps[i], err)
@@ -415,7 +392,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		failed = true
 		fmt.Fprintln(stderr, "acesim:", rerr)
-		if !*keepGoing && *reproDir == "" {
+		if !opts.KeepGoing && opts.ReproDir == "" {
 			return 1
 		}
 		reports[i] = fmt.Sprintf("%s: failed: %v\n", apps[i], firstLine(rerr.Error()))
@@ -438,32 +415,6 @@ func firstLine(s string) string {
 		return s[:i]
 	}
 	return s
-}
-
-// simTime converts a wall-style flag duration into virtual time (both
-// are nanosecond-granular).
-func simTime(d time.Duration) sim.Time {
-	return sim.Time(d.Nanoseconds()) * sim.Nanosecond
-}
-
-// chaosConfig assembles and validates the chaos configuration from the
-// CLI flags; the zero value (all flags unset) means chaos off.
-func chaosConfig(seed int64, fail, delay float64, panicAt, stallAt time.Duration, nodeFail, linkFail string) (chaos.Config, error) {
-	if fail <= 0 && delay <= 0 && panicAt <= 0 && stallAt <= 0 && nodeFail == "" && linkFail == "" {
-		return chaos.Config{}, nil
-	}
-	health, err := chaos.ParseHealthSchedule(nodeFail, linkFail)
-	if err != nil {
-		return chaos.Config{}, err
-	}
-	cc := chaos.Config{
-		Seed: seed, FailProb: fail, DelayProb: delay,
-		MaxRetries: chaos.DefaultMaxRetries, Backoff: chaos.DefaultBackoff,
-		MoveDelay: chaos.DefaultMoveDelay,
-		PanicAt:   simTime(panicAt), StallAt: simTime(stallAt),
-		Health: health,
-	}
-	return cc, cc.Validate()
 }
 
 func main() {

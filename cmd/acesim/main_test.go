@@ -149,3 +149,34 @@ func TestExperimentDefaultAppIsWholeMix(t *testing.T) {
 		}
 	}
 }
+
+// TestScheduleKillingEveryNodeFails: a failure schedule that leaves no
+// node online describes a machine that cannot run; the run must fail
+// instead of reporting a table with no local references.
+func TestScheduleKillingEveryNodeFails(t *testing.T) {
+	var out, errb strings.Builder
+	args := []string{"-app", "Gfetch", "-nproc", "4", "-size", "12", "-topology", "4socket",
+		"-chaos-node-fail", "0@1ms,1@1ms,2@1ms,3@1ms"}
+	if code := run(args, &out, &errb); code != 1 {
+		t.Fatalf("exit code = %d, want 1; stdout: %s", code, out.String())
+	}
+	if !strings.Contains(errb.String(), "no node online") {
+		t.Errorf("stderr should say no node is left online, got: %s", errb.String())
+	}
+	if out.Len() != 0 {
+		t.Errorf("a rejected schedule printed a report:\n%s", out.String())
+	}
+}
+
+// TestPolicySpecReplacesThresholdFlag: the move limit rides on the
+// policy spec.
+func TestPolicySpecReplacesThresholdFlag(t *testing.T) {
+	var out, errb strings.Builder
+	args := []string{"-app", "fft", "-size", "16", "-nproc", "3", "-policy", "threshold:limit=2"}
+	if code := run(args, &out, &errb); code != 0 {
+		t.Fatalf("exit code = %d, want 0; stderr: %s", code, errb.String())
+	}
+	if !strings.Contains(out.String(), "under threshold(2)") {
+		t.Errorf("report does not name threshold(2):\n%s", out.String())
+	}
+}

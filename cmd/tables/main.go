@@ -35,34 +35,15 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
-	"numasim/internal/chaos"
+	"numasim/internal/cliflags"
 	"numasim/internal/harness"
 	"numasim/internal/metrics"
-	"numasim/internal/profiling"
-	"numasim/internal/sim"
 	"numasim/internal/simtrace"
 	"numasim/internal/topology"
 )
-
-// parseFrames parses a comma-separated list of local-frame budgets.
-func parseFrames(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var frames []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad -frames entry %q (want positive integers)", part)
-		}
-		frames = append(frames, n)
-	}
-	return frames, nil
-}
 
 // usageText is the synopsis -h prints before the flag defaults. The
 // usage test asserts it mentions every registered flag, so a flag
@@ -105,30 +86,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	exp := fs.String("exp", "", "print only the named experiment (list: print the registry)")
 	app := fs.String("app", "", "application for single-app experiments (default: per experiment)")
 	polName := fs.String("policy", "", "placement policy for single-policy experiments, as a registry spec like decaythreshold or threshold:limit=2 (default: per experiment)")
-	framesFlag := fs.String("frames", "", "comma-separated local-frame budgets for the pressure sweep")
-	chaosSeed := fs.Int64("chaos-seed", 0, "seed for fault injection (used when a -chaos probability is set)")
-	chaosFail := fs.Float64("chaos-fail", 0, "probability a local frame allocation transiently fails (0 disables)")
-	chaosDelay := fs.Float64("chaos-delay", 0, "probability a page move is delayed (0 disables)")
-	chaosPanicAt := fs.Duration("chaos-panic-at", 0, "inject one panic at this virtual time (crash drill; 0 disables)")
-	chaosStallAt := fs.Duration("chaos-stall-at", 0, "inject one virtual-time stall at this virtual time (watchdog drill; 0 disables)")
-	chaosNodeFail := fs.String("chaos-node-fail", "", "node failure schedule: comma-separated NODE@OFF[-ON] virtual times, e.g. 2@10ms-60ms")
-	chaosLinkFail := fs.String("chaos-link-fail", "", "link failure schedule: comma-separated LINK@AT[xFACTOR][-RESTORE], e.g. node0-node1@5msx4-9ms")
-	audit := fs.Int("audit", 0, "online protocol-audit sampling stride (0: off, 1: audit every protocol action, N: sampled)")
-	timeout := fs.Duration("timeout", 0, "wall-clock budget per supervised run (0: none)")
-	retries := fs.Int("retries", 0, "re-run a failed unit up to this many times before giving up")
-	reproDir := fs.String("repro-dir", "", "write a repro bundle for each failed run into this directory (implies -keep-going)")
-	keepGoing := fs.Bool("keep-going", false, "continue past failed runs and report partial results")
-	stallLimit := fs.Int("stall-limit", 0, "engine stall-watchdog threshold in dispatches (0: default)")
 	csv := fs.Bool("csv", false, "emit tabular experiments as CSV")
 	parallel := fs.Int("parallel", 0, "simulations to run concurrently (0: one per host CPU; results are identical at every setting)")
 	timing := fs.Bool("timing", false, "report wall-clock run time and simtrace event counts on stderr (diagnostic only; never part of a table)")
-	cpuProf := fs.String("cpuprofile", "", "write a CPU profile of the whole run to `file`")
-	memProf := fs.String("memprofile", "", "write a heap profile to `file` at exit")
+	common := cliflags.Bind(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
-	stopProf, err := profiling.Start(*cpuProf, *memProf)
+	stopProf, err := common.StartProfiling()
 	if err != nil {
 		fmt.Fprintln(stderr, "tables:", err)
 		return 2
@@ -139,38 +105,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}()
 
-	frames, err := parseFrames(*framesFlag)
-	if err != nil {
-		fmt.Fprintln(stderr, "tables:", err)
-		return 2
-	}
 	opts := harness.Options{
 		NProc: *nproc, Workers: *workers, Small: *smallFlag, Parallelism: *parallel,
-		App: *app, Policy: *polName, PressureFrames: frames, Topology: *topo,
-		Audit: *audit, Timeout: *timeout, Retries: *retries,
-		ReproDir: *reproDir, KeepGoing: *keepGoing, StallLimit: *stallLimit,
+		App: *app, Policy: *polName, Topology: *topo,
 		Command: "tables " + strings.Join(args, " "),
 	}
-	if *chaosFail > 0 || *chaosDelay > 0 || *chaosPanicAt > 0 || *chaosStallAt > 0 ||
-		*chaosNodeFail != "" || *chaosLinkFail != "" {
-		health, err := chaos.ParseHealthSchedule(*chaosNodeFail, *chaosLinkFail)
-		if err != nil {
-			fmt.Fprintln(stderr, "tables:", err)
-			return 2
-		}
-		cc := chaos.Config{
-			Seed: *chaosSeed, FailProb: *chaosFail, DelayProb: *chaosDelay,
-			MaxRetries: chaos.DefaultMaxRetries, Backoff: chaos.DefaultBackoff,
-			MoveDelay: chaos.DefaultMoveDelay,
-			PanicAt:   sim.Time(chaosPanicAt.Nanoseconds()) * sim.Nanosecond,
-			StallAt:   sim.Time(chaosStallAt.Nanoseconds()) * sim.Nanosecond,
-			Health:    health,
-		}
-		if err := cc.Validate(); err != nil {
-			fmt.Fprintln(stderr, "tables:", err)
-			return 2
-		}
-		opts.Chaos = cc
+	if err := common.Apply(&opts); err != nil {
+		fmt.Fprintln(stderr, "tables:", err)
+		return 2
 	}
 
 	if *exp == "list" {

@@ -150,3 +150,19 @@ func TestBadChaosConfigFails(t *testing.T) {
 		t.Fatalf("exit code = %d, want 2 (usage error)", code)
 	}
 }
+
+// TestTablesRefuseFailureSchedules: Table 3 and Table 4 compare T_numa
+// against healthy T_local/T_global reference runs, so a failure
+// schedule is refused and the error points at the availability sweep.
+func TestTablesRefuseFailureSchedules(t *testing.T) {
+	for _, table := range []string{"3", "4"} {
+		var out, errb strings.Builder
+		args := []string{"-small", "-nproc", "3", "-table", table, "-chaos-node-fail", "0@1ms"}
+		if code := run(args, &out, &errb); code != 1 {
+			t.Fatalf("table %s: exit code = %d, want 1; stdout: %s", table, code, out.String())
+		}
+		if !strings.Contains(errb.String(), "-exp availability") {
+			t.Errorf("table %s: stderr should point to -exp availability, got: %s", table, errb.String())
+		}
+	}
+}

@@ -192,13 +192,10 @@ var InterfaceContracts = map[string]bool{
 	"(numasim/internal/numa.Policy).Name":                            true,
 	"(numasim/internal/numa.ReconsideringPolicy).ReconsiderInterval": true,
 	// The capability interfaces of the redesigned policy API
-	// (internal/numa/policyapi.go): per-access observation, thread
-	// migration advice, epoch retirement, and the scheduler's side of
-	// the co-placement channel all run per protocol request.
+	// (internal/numa/policyapi.go): per-access observation and epoch
+	// retirement both run per protocol request.
 	"(numasim/internal/numa.PageObserver).ObserveAccess": true,
-	"(numasim/internal/numa.ThreadAdvisor).AdviseThread": true,
 	"(numasim/internal/numa.Retirer).RetireEpoch":        true,
-	"(numasim/internal/numa.ThreadMover).MigrateHint":    true,
 }
 
 // cleanStd are standard-library packages whose exported functions are

@@ -44,10 +44,6 @@ func New(k *vm.Kernel, mode sched.Mode) *Runtime {
 // thus run concurrently on one machine — the multiprogrammed "application
 // mix" whose locality the paper's system manages as a whole.
 func NewShared(k *vm.Kernel, s *sched.Scheduler, name string) *Runtime {
-	// Connect the co-placement channel: a ThreadAdvisor-capable policy
-	// can now ask the scheduler to migrate threads toward their hot
-	// pages. With any other policy the channel carries nothing.
-	k.NUMA().SetThreadMover(s)
 	return &Runtime{
 		kernel: k,
 		task:   k.NewTask(name),

@@ -224,6 +224,14 @@ func UnixMasterCompare(opts Options, app string) (UnixMasterResult, error) {
 	}, nil
 }
 
+// Render formats the comparison.
+func (r UnixMasterResult) Render() string {
+	return fmt.Sprintf(`Unix master (§4.6) on %s
+  syscalls on home CPU:  user %.3fs, %.1f%% local references
+  syscalls on master:    user %.3fs, %.1f%% local references
+`, r.App, r.Off.UserSec, 100*r.OffLoc, r.On.UserSec, 100*r.OnLoc)
+}
+
 // ---------------------------------------------------------------------
 // Replication ablation: the paper's protocol replicates read-only pages;
 // Li-style pure migration keeps a single copy. IMatMult, which

@@ -125,16 +125,12 @@ func AvailabilitySweep(opts Options, apps []string) ([]AvailRow, error) {
 		}
 		schedules = kept
 	}
-	thr := opts.Threshold
-	if thr <= 0 {
-		thr = policy.DefaultThreshold
-	}
 	rows := make([]AvailRow, len(apps)*len(schedules))
 	errs := opts.pool().RunAll(len(rows), func(i int) error {
 		app, sc := apps[i/len(schedules)], schedules[i%len(schedules)]
 		label := fmt.Sprintf("avail-%s-%s", app, sc.name)
 		return opts.supervise(label, func(o Options) error {
-			pol, err := o.policyOr(func() numa.Policy { return policy.NewThreshold(thr) })
+			pol, err := o.policyOr(func() numa.Policy { return policy.NewDefault() })
 			if err != nil {
 				return err
 			}

@@ -31,8 +31,6 @@ type Options struct {
 	// Small selects reduced problem sizes (used by tests; the defaults
 	// are already scaled down from the paper's hours-long runs).
 	Small bool
-	// Threshold is the policy's move limit (default 4).
-	Threshold int
 	// Policy, when non-empty, overrides the placement policy for
 	// single-policy experiments (the ablations, sweeps and pressure
 	// runs). It accepts any registry spec ("decaythreshold",
@@ -189,9 +187,6 @@ func (o Options) evaluator() *metrics.Evaluator {
 	ev.StallLimit = o.StallLimit
 	ev.Forensics = o.forensics()
 	ev.OnMachine = o.onMachine
-	if o.Threshold > 0 {
-		ev.Threshold = o.Threshold
-	}
 	return ev
 }
 
@@ -202,11 +197,7 @@ func (o Options) policyOr(def func() numa.Policy) (numa.Policy, error) {
 	if o.Policy == "" {
 		return def(), nil
 	}
-	thr := o.Threshold
-	if thr == 0 {
-		thr = policy.DefaultThreshold
-	}
-	return policy.ByName(o.Policy, thr)
+	return policy.Parse(o.Policy)
 }
 
 // forensics reports whether runs should gather crash forensics (ring

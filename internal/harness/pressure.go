@@ -72,10 +72,6 @@ func PressureSweepAll(opts Options, apps []string, frames []int) ([]PressureRow,
 	if len(frames) == 0 {
 		frames = DefaultPressureFrames
 	}
-	thr := opts.Threshold
-	if thr <= 0 {
-		thr = policy.DefaultThreshold
-	}
 	points := append([]int{0}, frames...)
 	rows := make([]PressureRow, len(apps)*len(points))
 	errs := opts.pool().RunAll(len(rows), func(i int) error {
@@ -86,7 +82,7 @@ func PressureSweepAll(opts Options, apps []string, frames []int) ([]PressureRow,
 			if budget > 0 {
 				cfg.LocalFrames = budget
 			}
-			pol, err := o.policyOr(func() numa.Policy { return policy.NewThreshold(thr) })
+			pol, err := o.policyOr(func() numa.Policy { return policy.NewDefault() })
 			if err != nil {
 				return err
 			}

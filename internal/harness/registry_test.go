@@ -88,3 +88,40 @@ func TestRegistryExperimentsRun(t *testing.T) {
 		}
 	}
 }
+
+// TestAblationEntriesRender: the page-size, G/L and quantum sweeps, the
+// application mix and the Unix-master comparison run from the registry
+// with their default applications and render their tables (the sweeps
+// as CSV too).
+func TestAblationEntriesRender(t *testing.T) {
+	cases := []struct {
+		name, want string
+		csv        bool
+	}{
+		{"pagesizesweep", "Page size sweep on IMatMult", true},
+		{"glsweep", "Global-latency sweep on IMatMult", true},
+		{"quantumsweep", "Scheduling quantum sweep on IMatMult", true},
+		{"mix", "Application mix: IMatMult + Primes1 + FFT", false},
+		{"unixmaster", "Unix master (§4.6) on Syscaller", false},
+	}
+	for _, c := range cases {
+		e, ok := Lookup(c.name)
+		if !ok {
+			t.Errorf("%s: not registered", c.name)
+			continue
+		}
+		res, err := e.Run(Options{NProc: 3, Small: true})
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		if out := res.Render(); !strings.Contains(out, c.want) {
+			t.Errorf("%s: render lacks %q:\n%s", c.name, c.want, out)
+		}
+		if cr, ok := res.(CSVResult); ok != c.csv {
+			t.Errorf("%s: CSV rendering available = %v, want %v", c.name, ok, c.csv)
+		} else if ok && strings.Count(cr.RenderCSV(), "\n") < 2 {
+			t.Errorf("%s: CSV has no rows:\n%s", c.name, cr.RenderCSV())
+		}
+	}
+}

@@ -148,6 +148,9 @@ type Table3Row struct {
 
 // Table3Single evaluates one application of Table 3.
 func Table3Single(opts Options, app string) (Table3Row, error) {
+	if err := refuseHealth(opts, "table3"); err != nil {
+		return Table3Row{}, err
+	}
 	opts = opts.withDefaults()
 	ev := opts.evaluator()
 	e, err := ev.Evaluate(func() (metrics.Runner, error) { return opts.instance(app) })
@@ -157,12 +160,27 @@ func Table3Single(opts Options, app string) (Table3Row, error) {
 	return Table3Row{App: app, Eval: e, Paper: PaperTable3[app]}, nil
 }
 
+// refuseHealth rejects a failure schedule for the Table 3/4 experiments:
+// the schedule would also hit the T_local and T_global reference runs,
+// so α, β and γ would compare a degraded machine against itself (γ < 1,
+// which eq. 1 rules out). The availability sweep measures degradation
+// against a healthy baseline instead.
+func refuseHealth(opts Options, table string) error {
+	if opts.Chaos.HealthEnabled() {
+		return fmt.Errorf("%s: a failure schedule (-chaos-node-fail, -chaos-link-fail) would also hit the T_local and T_global reference runs; use -exp availability to measure degradation", table)
+	}
+	return nil
+}
+
 // Table3 regenerates the paper's Table 3 (E5). The per-application rows
 // are independent simulations; they run on the options' worker pool and
 // land in the paper's row order regardless of completion order. Under a
 // supervisor (timeout/retry/repro-dir) failed applications become
 // error-annotated rows and the rest of the table still renders.
 func Table3(opts Options) ([]Table3Row, error) {
+	if err := refuseHealth(opts, "table3"); err != nil {
+		return nil, err
+	}
 	opts = opts.withDefaults()
 	rows := make([]Table3Row, len(Table3Apps))
 	errs := opts.pool().RunAll(len(Table3Apps), func(i int) error {
@@ -268,6 +286,9 @@ type Table4Row struct {
 
 // Table4Single evaluates one application of Table 4.
 func Table4Single(opts Options, app string) (Table4Row, error) {
+	if err := refuseHealth(opts, "table4"); err != nil {
+		return Table4Row{}, err
+	}
 	opts = opts.withDefaults()
 	ev := opts.evaluator()
 	e, err := ev.Evaluate(func() (metrics.Runner, error) { return opts.instance(app) })
@@ -293,6 +314,9 @@ func Table4Single(opts Options, app string) (Table4Row, error) {
 // supervisor, failed applications become error-annotated rows and the
 // rest of the table still renders.
 func Table4(opts Options) ([]Table4Row, error) {
+	if err := refuseHealth(opts, "table4"); err != nil {
+		return nil, err
+	}
 	opts = opts.withDefaults()
 	rows := make([]Table4Row, len(Table4Apps))
 	errs := opts.pool().RunAll(len(Table4Apps), func(i int) error {

@@ -17,8 +17,8 @@ import (
 // every machine topology, ranked by the paper's primary metric (user
 // time, the T_numa of §3.1). The grid is the capstone of the adaptive
 // policy zoo: it shows where the paper's fixed Threshold wins (stable
-// sharing patterns) and where the decaying and co-placement policies
-// overtake it (skewed, phase-changing workloads).
+// sharing patterns) and where the decaying policies overtake it
+// (skewed, phase-changing workloads).
 // ---------------------------------------------------------------------
 
 // TournamentPolicies are the policy specs entered in the tournament, in
@@ -32,7 +32,6 @@ var TournamentPolicies = []string{
 	"decaythreshold",
 	"bandit",
 	"classifier",
-	"coplace",
 }
 
 // TournamentWorkloads are the probe workloads, chosen to span the
@@ -46,7 +45,9 @@ var TournamentWorkloads = []string{"Gfetch", "IMatMult", "Phased", "Zipf"}
 type TournamentRow struct {
 	Topology string
 	Workload string
-	Policy   string
+	// Policy is the registry spec the cell ran, so every row can be
+	// re-run with -policy.
+	Policy string
 	// Rank is the policy's 1-based position within its (topology,
 	// workload) group, ranked by ascending user time (ties broken by
 	// system time, then policy name).
@@ -56,10 +57,6 @@ type TournamentRow struct {
 	LocalFrac float64
 	Moves     uint64
 	Pins      uint64
-	// Hints and Migrations count the co-placement channel's traffic:
-	// accepted scheduler hints and the thread migrations they caused.
-	Hints      uint64
-	Migrations uint64
 }
 
 // LeaderRow is one policy's aggregate standing across the whole grid.
@@ -129,16 +126,14 @@ func tournamentGrid(opts Options, topos, works, pols []string) (TournamentResult
 	for i, c := range cells {
 		res := results[i]
 		rows[i] = TournamentRow{
-			Topology:   c.topo,
-			Workload:   c.workload,
-			Policy:     res.Policy,
-			UserSec:    res.UserSec,
-			SysSec:     res.SysSec,
-			LocalFrac:  res.Refs.LocalFraction(),
-			Moves:      res.NUMA.Moves,
-			Pins:       res.NUMA.Pins,
-			Hints:      res.Sched.HintsAccepted,
-			Migrations: res.Sched.Migrations,
+			Topology:  c.topo,
+			Workload:  c.workload,
+			Policy:    c.spec,
+			UserSec:   res.UserSec,
+			SysSec:    res.SysSec,
+			LocalFrac: res.Refs.LocalFraction(),
+			Moves:     res.NUMA.Moves,
+			Pins:      res.NUMA.Pins,
 		}
 	}
 
@@ -203,7 +198,7 @@ func (r TournamentResult) Render() string {
 	var b strings.Builder
 	b.WriteString("Policy tournament: every policy x every workload x every topology,\n")
 	b.WriteString("ranked by user time (the paper's T_numa, §3.1)\n")
-	headers := []string{"rank", "policy", "Tuser", "Tsys", "local refs", "moves", "pins", "hints", "migr"}
+	headers := []string{"rank", "policy", "Tuser", "Tsys", "local refs", "moves", "pins"}
 	for start := 0; start < len(r.Rows); {
 		end := start
 		for end < len(r.Rows) &&
@@ -218,7 +213,6 @@ func (r TournamentResult) Render() string {
 				fmt.Sprintf("%d", row.Rank), row.Policy,
 				fmtF(row.UserSec, 4), fmtF(row.SysSec, 4), fmtF(row.LocalFrac, 3),
 				fmt.Sprintf("%d", row.Moves), fmt.Sprintf("%d", row.Pins),
-				fmt.Sprintf("%d", row.Hints), fmt.Sprintf("%d", row.Migrations),
 			})
 		}
 		b.WriteString(renderTable(headers, body))
@@ -236,12 +230,12 @@ func (r TournamentResult) Render() string {
 // RenderCSV formats the grid as one machine-readable table.
 func (r TournamentResult) RenderCSV() string {
 	var b strings.Builder
-	b.WriteString("topology,workload,rank,policy,tuser,tsys,localfrac,moves,pins,hints,migrations\n")
+	b.WriteString("topology,workload,rank,policy,tuser,tsys,localfrac,moves,pins\n")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%s,%s,%d,%s,%s,%s,%s,%d,%d,%d,%d\n",
+		fmt.Fprintf(&b, "%s,%s,%d,%s,%s,%s,%s,%d,%d\n",
 			row.Topology, row.Workload, row.Rank, row.Policy,
 			fmtF(row.UserSec, 4), fmtF(row.SysSec, 4), fmtF(row.LocalFrac, 3),
-			row.Moves, row.Pins, row.Hints, row.Migrations)
+			row.Moves, row.Pins)
 	}
 	return b.String()
 }

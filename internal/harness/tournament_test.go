@@ -3,6 +3,8 @@ package harness
 import (
 	"strings"
 	"testing"
+
+	"numasim/internal/policy"
 )
 
 // reduced grid for the determinism and acceptance tests: one topology,
@@ -11,7 +13,7 @@ import (
 var (
 	testTopos = []string{"ace"}
 	testWorks = []string{"Phased", "Zipf"}
-	testPols  = []string{"threshold", "decaythreshold", "bandit:seed=7", "coplace"}
+	testPols  = []string{"threshold", "decaythreshold", "bandit:seed=7", "classifier"}
 )
 
 // TestTournamentParallelDeterminism: the ranked tournament tables must
@@ -70,7 +72,7 @@ func TestTournamentShape(t *testing.T) {
 		t.Errorf("leaderboard has %d rows, want %d", len(res.Board), len(testPols))
 	}
 	text := res.Render()
-	for _, want := range []string{"Leaderboard", "ace / Zipf", "rank", "hints"} {
+	for _, want := range []string{"Leaderboard", "ace / Zipf", "rank", "pins"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("render missing %q:\n%s", want, text)
 		}
@@ -92,18 +94,37 @@ func TestAdaptiveBeatsThresholdOnZipf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rank := func(prefix string) int {
+	rank := func(spec string) int {
 		for _, row := range res.Rows {
-			if strings.HasPrefix(row.Policy, prefix) {
+			if row.Policy == spec {
 				return row.Rank
 			}
 		}
-		t.Fatalf("no policy named %s* in ranks:\n%s", prefix, res.Render())
+		t.Fatalf("no policy %s in ranks:\n%s", spec, res.Render())
 		return 0
 	}
-	thr := rank("threshold(")
-	if got := rank("decay-threshold("); got >= thr {
-		t.Errorf("decay-threshold ranks %d, threshold ranks %d; want the adaptive policy ahead on Zipf\n%s",
+	thr := rank("threshold")
+	if got := rank("decaythreshold"); got >= thr {
+		t.Errorf("decaythreshold ranks %d, threshold ranks %d; want the adaptive policy ahead on Zipf\n%s",
 			got, thr, res.Render())
+	}
+}
+
+// TestTournamentNamesRoundTrip: every row and leaderboard entry names
+// the registry spec it ran, so policy.Parse (and -policy) accepts it.
+func TestTournamentNamesRoundTrip(t *testing.T) {
+	res, err := tournamentGrid(Options{NProc: 3, Small: true}, testTopos, []string{"Zipf"}, TournamentPolicies)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range res.Rows {
+		if _, err := policy.Parse(row.Policy); err != nil {
+			t.Errorf("row %s/%s: policy name %q does not parse: %v", row.Topology, row.Workload, row.Policy, err)
+		}
+	}
+	for _, lr := range res.Board {
+		if _, err := policy.Parse(lr.Policy); err != nil {
+			t.Errorf("leaderboard: policy name %q does not parse: %v", lr.Policy, err)
+		}
 	}
 }

@@ -15,6 +15,7 @@ package metrics
 
 import (
 	"fmt"
+	"slices"
 
 	"numasim/internal/ace"
 	"numasim/internal/chaos"
@@ -34,8 +35,10 @@ type healthEvent struct {
 
 // StartHealthDriver validates cfg's failure schedule against the
 // machine's topology and spawns the driver thread that replays it. A
-// nil error with no schedule means nothing was spawned. Call after the
-// scheduler exists and before the workload runs.
+// schedule that would leave no node online at any instant of the replay
+// describes a machine that cannot run, and is an error. A nil error
+// with no schedule means nothing was spawned. Call after the scheduler
+// exists and before the workload runs.
 func StartHealthDriver(machine *ace.Machine, mgr *numa.Manager, sch *sched.Scheduler, cfg chaos.Config) error {
 	if !cfg.HealthEnabled() {
 		return nil
@@ -46,12 +49,17 @@ func StartHealthDriver(machine *ace.Machine, mgr *numa.Manager, sch *sched.Sched
 	spec := machine.Spec()
 	events := cfg.SortedHealth()
 	resolved := make([]healthEvent, len(events))
+	offline := make([]bool, machine.NNodes())
 	for i, ev := range events {
 		r := healthEvent{ev: ev, link: -1}
 		switch ev.Kind {
 		case chaos.NodeOffline, chaos.NodeOnline:
 			if ev.Node >= machine.NNodes() {
 				return fmt.Errorf("chaos: health event %q: machine has only %d nodes", ev, machine.NNodes())
+			}
+			offline[ev.Node] = ev.Kind == chaos.NodeOffline
+			if !slices.Contains(offline, false) {
+				return fmt.Errorf("chaos: health event %q leaves no node online (machine has %d)", ev, machine.NNodes())
 			}
 		default:
 			li, ok := spec.LinkIndex(ev.Link)

@@ -1,10 +1,9 @@
 package numa_test
 
 // Capability fuzz: the seeded protocol fuzz rerun with a policy that
-// carries the full optional-capability surface — a page observer, a
-// thread advisor and an epoch retirer — plus a fake thread mover wired
-// into the manager's co-placement channel. The heat counters, the
-// advisory path and the epoch clock all run hot while the usual
+// carries the full optional-capability surface — a page observer and an
+// epoch retirer. The heat counters and the epoch clock run hot while
+// the usual
 // apparatus (online audit at stride 1, the dense/map oracle, the
 // last-write-wins content oracle) checks that none of it perturbs the
 // protocol.
@@ -23,18 +22,10 @@ import (
 )
 
 // capPolicy wraps the scripted policy with every optional capability.
-// The advice script is pre-generated, so runs are reproducible.
 type capPolicy struct {
 	*policy.Scripted
-	advice   []capAdvice
-	pos      int
 	observed int
 	retired  int
-}
-
-type capAdvice struct {
-	target int
-	ok     bool
 }
 
 // ObserveAccess implements numa.PageObserver.
@@ -44,52 +35,19 @@ func (c *capPolicy) ObserveAccess(pg *numa.Page, proc int, write bool, now sim.T
 	c.observed++
 }
 
-// AdviseThread implements numa.ThreadAdvisor.
-//
-//numalint:hotpath
-func (c *capPolicy) AdviseThread(pg *numa.Page, proc, node int, now sim.Time) (int, bool) {
-	if c.pos >= len(c.advice) {
-		return 0, false
-	}
-	a := c.advice[c.pos]
-	c.pos++
-	return a.target, a.ok
-}
-
 // RetireEpoch implements numa.Retirer.
 //
 //numalint:hotpath
 func (c *capPolicy) RetireEpoch(now sim.Time) { c.retired++ }
 
-// fakeMover stands in for the scheduler on a machine with no scheduler:
-// it records every hint and accepts every other one.
-type fakeMover struct {
-	calls    int
-	accepted int
-}
-
-// MigrateHint implements numa.ThreadMover.
-//
-//numalint:hotpath
-func (f *fakeMover) MigrateHint(th *sim.Thread, node int) bool {
-	f.calls++
-	if f.calls%2 == 0 {
-		f.accepted++
-		return true
-	}
-	return false
-}
-
 var (
-	_ numa.PageObserver  = (*capPolicy)(nil)
-	_ numa.ThreadAdvisor = (*capPolicy)(nil)
-	_ numa.Retirer       = (*capPolicy)(nil)
-	_ numa.ThreadMover   = (*fakeMover)(nil)
+	_ numa.PageObserver = (*capPolicy)(nil)
+	_ numa.Retirer      = (*capPolicy)(nil)
 )
 
 // capFuzzScript is fuzzScript's capability-bearing sibling: same shape
-// of seeded access script, but the policy observes pages, advises
-// thread moves and retires epochs throughout.
+// of seeded access script, but the policy observes pages and retires
+// epochs throughout.
 func capFuzzScript(t *testing.T, seed int64) {
 	t.Helper()
 	cfg := ace.DefaultConfig()
@@ -108,10 +66,6 @@ func capFuzzScript(t *testing.T, seed int64) {
 		} else {
 			pol.Answers = append(pol.Answers, numa.Global)
 		}
-		pol.advice = append(pol.advice, capAdvice{
-			target: rng.Intn(m.NNodes()),
-			ok:     rng.Intn(3) != 0,
-		})
 	}
 	n := numa.NewManager(m, pol)
 	if !n.TracksHeat() {
@@ -119,8 +73,6 @@ func capFuzzScript(t *testing.T, seed int64) {
 	}
 	// A short epoch so the retirer's clock ticks within the run.
 	n.SetHeatEpoch(sim.Millisecond)
-	mover := &fakeMover{}
-	n.SetThreadMover(mover)
 
 	ring := simtrace.NewRingSink(256)
 	checker := newProtocolChecker()
@@ -204,20 +156,12 @@ func capFuzzScript(t *testing.T, seed int64) {
 	if pol.retired == 0 {
 		t.Errorf("seed %d: the epoch retirer never fired", seed)
 	}
-	st := n.Stats()
-	if got := st.HintsAccepted + st.HintsRejected; got != uint64(mover.calls) {
-		t.Errorf("seed %d: manager counted %d hints, mover saw %d calls", seed, got, mover.calls)
-	}
-	if st.HintsAccepted != uint64(mover.accepted) {
-		t.Errorf("seed %d: manager counted %d accepted hints, mover accepted %d", seed, st.HintsAccepted, mover.accepted)
-	}
 }
 
 // TestProtocolFuzzCapabilities replays seeded scripts with the
-// capability-bearing policy. A pass means the heat counters, advisory
-// calls and epoch retirement never corrupt contents, break a directory
-// invariant, diverge the dense forms from the map oracle, or drift the
-// manager's hint accounting from the mover's.
+// capability-bearing policy. A pass means the heat counters and epoch
+// retirement never corrupt contents, break a directory invariant, or
+// diverge the dense forms from the map oracle.
 func TestProtocolFuzzCapabilities(t *testing.T) {
 	seeds := 300
 	if testing.Short() {

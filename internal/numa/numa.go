@@ -153,7 +153,7 @@ type Page struct {
 	// analogue of moves, heatEpoch the decay epoch the counters were
 	// last shifted to, and pword an opaque 64-bit scratch word owned by
 	// the bound policy. Maintained only when the policy has the
-	// PageObserver or ThreadAdvisor capability; pooled with the record.
+	// PageObserver or Retirer capability; pooled with the record.
 	heat      []uint32
 	moveHeat  uint32
 	heatEpoch uint32
@@ -322,8 +322,6 @@ type Stats struct {
 	RemoteDemoted uint64 // remote placements revoked by a policy change
 	PagesCreated  uint64
 	PagesFreed    uint64
-	HintsAccepted uint64 // thread-migration hints the scheduler recorded
-	HintsRejected uint64 // thread-migration hints the scheduler refused
 	Evacuations   uint64 // page copies moved or dropped off failing nodes
 	EvacRetries   uint64 // evacuations that backed off on destination pressure
 	EvacFallbacks uint64 // evacuated pages synced to global (no survivor had room)
@@ -381,15 +379,12 @@ type Manager struct {
 
 	// Capability bindings (see policyapi.go): the policy's optional
 	// interfaces, asserted once in NewManager so the hot path only
-	// nil-checks. trackHeat is set when an observer or advisor is
+	// nil-checks. trackHeat is set when an observer or retirer is
 	// bound; heatEpoch is the decay period and curEpoch the epoch of
-	// the most recent request; mover is the scheduler-side co-placement
-	// channel installed by SetThreadMover.
+	// the most recent request.
 	observer   PageObserver
-	advisor    ThreadAdvisor
 	retirer    Retirer
 	reconsider ReconsideringPolicy
-	mover      ThreadMover
 	trackHeat  bool
 	heatEpoch  sim.Time
 	curEpoch   uint32
@@ -401,13 +396,11 @@ type Manager struct {
 	// Degraded-mode state (see evacuate.go): offline is the node
 	// quarantine mask (nil until the first FailNode, so healthy runs pay
 	// one nil check on the fault path and allocate nothing), offlineSeen
-	// the auditor's monotonic-quarantine shadow, evacQueue the bounded
-	// evacuation work list reused across failures, and topoAware the
-	// bound TopologyAware capability, kept so health changes can rebind.
+	// the auditor's monotonic-quarantine shadow, and evacQueue the
+	// bounded evacuation work list reused across failures.
 	offline     []bool
 	offlineSeen []bool
 	evacQueue   []*Page
-	topoAware   TopologyAware
 
 	// Clock-reclaimer state, sharded by node: which page's copy occupies
 	// each local frame (shards[node].resident[frameIndex]), a
@@ -707,12 +700,6 @@ func (n *Manager) Access(th *sim.Thread, pg *Page, proc int, write bool, maxProt
 	// just used.
 	if f.Kind() == mem.Local {
 		n.shards[f.Proc()].refbit[f.Index()] = true
-	}
-	// With the co-placement channel connected, ask the advisor whether
-	// the faulting thread would be better placed elsewhere now that the
-	// request — and the counters it updated — are settled.
-	if n.advisor != nil && n.mover != nil {
-		n.adviseThread(th, pg, proc, node)
 	}
 	n.maybeAudit(pg)
 	return f, prot

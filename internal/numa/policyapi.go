@@ -7,11 +7,7 @@
 //
 //   - PageObserver: the policy wants per-access notifications, and the
 //     manager maintains per-page decaying access histograms for it;
-//   - ThreadAdvisor: the policy may advise the scheduler to migrate the
-//     faulting thread toward the node holding the page's heat;
-//   - Retirer: the policy wants a hook at every decay-epoch rollover;
-//   - TopologyAware: the policy wants the machine's topology spec
-//     (distance matrix) at bind time.
+//   - Retirer: the policy wants a hook at every decay-epoch rollover.
 //
 // Binding once keeps the per-request hot path free of type assertions:
 // Access consults plain nil-checked interface fields, exactly the price
@@ -20,15 +16,11 @@
 // The decaying counters themselves live on the Page record (heat,
 // moveHeat, heatEpoch, pword) and are pooled with it, so the counter
 // paths allocate nothing; they are maintained only when an observer or
-// advisor capability is bound, which keeps the default-policy hot path
+// retirer capability is bound, which keeps the default-policy hot path
 // — and every ACE golden — byte-identical to the pre-redesign manager.
 package numa
 
-import (
-	"numasim/internal/sim"
-	"numasim/internal/simtrace"
-	"numasim/internal/topology"
-)
+import "numasim/internal/sim"
 
 // DefaultHeatEpoch is the decay period for the per-page access
 // histograms and move-heat counters: every elapsed epoch halves every
@@ -57,22 +49,6 @@ type PageObserver interface {
 	ObserveAccess(pg *Page, proc int, write bool, now sim.Time)
 }
 
-// ThreadAdvisor is a Policy that may steer threads as well as pages:
-// after each request is resolved the manager asks the advisor whether
-// the faulting thread would be better placed on another node, and
-// forwards an affirmative answer to the scheduler as a migration hint
-// (applied, if accepted, at the thread's next quantum boundary).
-// Binding an advisor turns on the per-page heat histograms just as
-// PageObserver does.
-type ThreadAdvisor interface {
-	Policy
-	// AdviseThread may nominate a node for the faulting thread to
-	// migrate to. node is proc's home node; returning (target, true)
-	// with target != node proposes the move. It runs on the protocol
-	// hot path: implementations must not allocate.
-	AdviseThread(pg *Page, proc, node int, now sim.Time) (int, bool)
-}
-
 // Retirer is a Policy that wants a hook at every decay-epoch rollover
 // — the moment the manager first handles a request in a new heat
 // epoch. Adaptive policies use it to retire exploration state or
@@ -83,34 +59,6 @@ type Retirer interface {
 	// path: implementations must not allocate.
 	RetireEpoch(now sim.Time)
 }
-
-// TopologyAware is a Policy that wants the machine's topology spec at
-// bind time, so its answers can honour inter-node distances (e.g. only
-// advising a thread migration when it strictly shortens the distance
-// to the page's heat).
-type TopologyAware interface {
-	Policy
-	// BindTopology runs from NewManager, and again whenever a node's
-	// health changes in degraded mode (FailNode/ReviveNode) — a
-	// cache-invalidation signal for any distance state the policy
-	// derived. Implementations must be idempotent.
-	BindTopology(spec *topology.Spec)
-}
-
-// ThreadMover accepts thread-migration hints on the manager's behalf;
-// sched.Scheduler implements it. MigrateHint reports whether the hint
-// was accepted (recorded for the thread's next quantum boundary) or
-// rejected (unknown thread, out-of-range node). It is called from the
-// protocol hot path: implementations must not allocate.
-type ThreadMover interface {
-	MigrateHint(th *sim.Thread, node int) bool
-}
-
-// SetThreadMover installs the co-placement channel: with a mover set
-// and a ThreadAdvisor-capable policy bound, the manager forwards the
-// policy's migration advice to the scheduler. Install before the
-// simulation runs; nil disconnects the channel.
-func (n *Manager) SetThreadMover(m ThreadMover) { n.mover = m }
 
 // SetHeatEpoch overrides the decay period of the per-page heat
 // counters (DefaultHeatEpoch otherwise). Install before the simulation
@@ -133,15 +81,10 @@ func (n *Manager) TracksHeat() bool { return n.trackHeat }
 // manager construction, so the hot path never repeats the assertions.
 func (n *Manager) bindCapabilities(pol Policy) {
 	n.observer, _ = pol.(PageObserver)
-	n.advisor, _ = pol.(ThreadAdvisor)
 	n.retirer, _ = pol.(Retirer)
 	n.reconsider, _ = pol.(ReconsideringPolicy)
 	// A retirer needs the epoch clock, which ticks with the counters.
-	n.trackHeat = n.observer != nil || n.advisor != nil || n.retirer != nil
-	n.topoAware, _ = pol.(TopologyAware)
-	if n.topoAware != nil {
-		n.topoAware.BindTopology(n.machine.Spec())
-	}
+	n.trackHeat = n.observer != nil || n.retirer != nil
 }
 
 // observeAccess maintains the decaying counters for one request and
@@ -164,36 +107,6 @@ func (n *Manager) observeAccess(pg *Page, proc, node int, write bool, now sim.Ti
 	}
 	if n.observer != nil {
 		n.observer.ObserveAccess(pg, proc, write, now)
-	}
-}
-
-// adviseThread runs the advisor capability for one resolved request and
-// forwards its answer to the scheduler, emitting a KindSchedHint event
-// with the scheduler's verdict. Called from Access only when both an
-// advisor and a mover are bound.
-//
-//numalint:hotpath
-func (n *Manager) adviseThread(th *sim.Thread, pg *Page, proc, node int) {
-	target, ok := n.advisor.AdviseThread(pg, proc, node, th.Clock())
-	if !ok || target == node {
-		return
-	}
-	accepted := n.mover.MigrateHint(th, target)
-	if accepted {
-		n.stats.HintsAccepted++
-	} else {
-		n.stats.HintsRejected++
-	}
-	if n.bus.Enabled() {
-		verdict := int64(0)
-		if accepted {
-			verdict = 1
-		}
-		n.bus.Emit(simtrace.Event{
-			Kind: simtrace.KindSchedHint, Proc: int32(proc), Thread: int32(th.ID()),
-			Time: int64(th.Clock()), Page: pg.id,
-			Arg: int64(target), Arg2: verdict, Label: n.policy.Name(),
-		})
 	}
 }
 
@@ -222,7 +135,7 @@ func (p *Page) decayTo(epoch uint32) {
 
 // NodeHeat returns the page's decayed access count for node. Counters
 // are maintained only when the bound policy has the PageObserver or
-// ThreadAdvisor capability; otherwise every node reads zero.
+// Retirer capability; otherwise every node reads zero.
 //
 //numalint:hotpath
 func (p *Page) NodeHeat(node int) uint32 { return p.heat[node] }

@@ -13,12 +13,7 @@
 //     local-vs-global, in the spirit of MAO's learned approach;
 //   - Classifier splits pages into the literature's two regimes:
 //     read-mostly pages replicate locally, write-contended pages
-//     without a dominant accessor go global;
-//   - CoPlace wraps any inner policy with the ThreadAdvisor
-//     capability, advising the scheduler to migrate threads toward
-//     the nodes holding their hot pages (Phoenix's thread half of the
-//     co-placement problem), weighting candidates by the topology's
-//     distance matrix.
+//     without a dominant accessor go global.
 //
 // Every method on these types runs on the protocol hot path and
 // allocates nothing; per-page learned state lives in the page's
@@ -31,7 +26,6 @@ import (
 	"numasim/internal/mmu"
 	"numasim/internal/numa"
 	"numasim/internal/sim"
-	"numasim/internal/topology"
 )
 
 // DefaultSweepInterval is the defrost sweep period the adaptive
@@ -245,138 +239,6 @@ func (c *Classifier) ObserveAccess(pg *numa.Page, proc int, write bool, now sim.
 //numalint:hotpath
 func (c *Classifier) ReconsiderInterval() sim.Time { return c.Interval }
 
-// neverSweep effectively disables the defrost daemon for a CoPlace
-// whose inner policy never reconsiders: no virtual clock reaches it.
-const neverSweep = sim.Time(1) << 62
-
-// CoPlace wraps an inner page-placement policy with the ThreadAdvisor
-// capability: page placement is the inner policy's verbatim, and after
-// each request CoPlace may advise the scheduler to migrate the
-// faulting thread toward the node holding the page's heat — Phoenix's
-// observation that orchestrating both thread and page placement beats
-// either alone. Candidate nodes are scored by decayed heat discounted
-// by the topology's distance from the thread's current node, so a
-// moderately hot nearby node can out-bid a hotter far one; advice is
-// only given when the winner dominates the page's total heat.
-type CoPlace struct {
-	Inner   numa.Policy
-	MinHeat uint32 // decayed heat the winner needs before advising
-
-	spec     *topology.Spec
-	innerObs numa.PageObserver
-	innerRet numa.Retirer
-	innerRec numa.ReconsideringPolicy
-}
-
-// NewCoPlace wraps inner (the default DecayThreshold when nil) with
-// thread co-placement advice.
-func NewCoPlace(inner numa.Policy, minHeat int) *CoPlace {
-	if inner == nil {
-		inner = NewDecayThreshold(DefaultThreshold)
-	}
-	if minHeat < 1 {
-		panic(fmt.Sprintf("policy: coplace min heat %d < 1", minHeat))
-	}
-	c := &CoPlace{Inner: inner, MinHeat: uint32(minHeat)}
-	c.innerObs, _ = inner.(numa.PageObserver)
-	c.innerRet, _ = inner.(numa.Retirer)
-	c.innerRec, _ = inner.(numa.ReconsideringPolicy)
-	return c
-}
-
-// CachePolicy implements numa.Policy: page placement is the inner
-// policy's.
-//
-//numalint:hotpath
-func (c *CoPlace) CachePolicy(pg *numa.Page, proc int, write bool, maxProt mmu.Prot) numa.Location {
-	return c.Inner.CachePolicy(pg, proc, write, maxProt)
-}
-
-// Name implements numa.Policy.
-//
-//numalint:coldpath formats a report label; the manager only calls Name when tracing is on
-func (c *CoPlace) Name() string { return "coplace+" + c.Inner.Name() }
-
-// ObserveAccess implements numa.PageObserver, forwarding to an
-// observing inner policy.
-//
-//numalint:hotpath
-func (c *CoPlace) ObserveAccess(pg *numa.Page, proc int, write bool, now sim.Time) {
-	if c.innerObs != nil {
-		c.innerObs.ObserveAccess(pg, proc, write, now)
-	}
-}
-
-// RetireEpoch implements numa.Retirer, forwarding to a retiring inner
-// policy.
-//
-//numalint:hotpath
-func (c *CoPlace) RetireEpoch(now sim.Time) {
-	if c.innerRet != nil {
-		c.innerRet.RetireEpoch(now)
-	}
-}
-
-// ReconsiderInterval implements numa.ReconsideringPolicy, delegating
-// to the inner policy; a non-reconsidering inner policy would gain
-// nothing from sweeps, so they are pushed beyond any virtual clock.
-//
-//numalint:hotpath
-func (c *CoPlace) ReconsiderInterval() sim.Time {
-	if c.innerRec != nil {
-		return c.innerRec.ReconsiderInterval()
-	}
-	return neverSweep
-}
-
-// BindTopology implements numa.TopologyAware, capturing the distance
-// matrix the advice weights candidates with (and forwarding to an
-// aware inner policy).
-func (c *CoPlace) BindTopology(spec *topology.Spec) {
-	c.spec = spec
-	if ta, ok := c.Inner.(numa.TopologyAware); ok {
-		ta.BindTopology(spec)
-	}
-}
-
-// AdviseThread implements numa.ThreadAdvisor. node is the faulting
-// thread's current node; each candidate node's decayed heat is
-// discounted by its distance from node (LocalDistance/dist, so the
-// thread's own node keeps its full heat) and the best scorer wins —
-// provided it clears MinHeat and holds a strict majority of the page's
-// total heat.
-//
-//numalint:hotpath
-func (c *CoPlace) AdviseThread(pg *numa.Page, proc, node int, now sim.Time) (int, bool) {
-	best, bestScore := -1, uint64(0)
-	if c.spec != nil {
-		for i := 0; i < c.spec.NNodes(); i++ {
-			h := pg.NodeHeat(i)
-			if h == 0 {
-				continue
-			}
-			score := uint64(h) * uint64(topology.LocalDistance) / uint64(c.spec.Dist(node, i))
-			if score > bestScore {
-				best, bestScore = i, score
-			}
-		}
-	} else {
-		// No topology bound (direct-construction tests): fall back to
-		// the raw hottest node.
-		best = pg.HotNode()
-		if best >= 0 {
-			bestScore = uint64(pg.NodeHeat(best))
-		}
-	}
-	if best < 0 || best == node || bestScore < uint64(c.MinHeat) {
-		return 0, false
-	}
-	if 2*uint64(pg.NodeHeat(best)) <= pg.TotalHeat() {
-		return 0, false
-	}
-	return best, true
-}
-
 // Compile-time interface checks.
 var (
 	_ numa.Policy              = (*DecayThreshold)(nil)
@@ -388,10 +250,4 @@ var (
 	_ numa.Policy              = (*Classifier)(nil)
 	_ numa.PageObserver        = (*Classifier)(nil)
 	_ numa.ReconsideringPolicy = (*Classifier)(nil)
-	_ numa.Policy              = (*CoPlace)(nil)
-	_ numa.PageObserver        = (*CoPlace)(nil)
-	_ numa.ThreadAdvisor       = (*CoPlace)(nil)
-	_ numa.Retirer             = (*CoPlace)(nil)
-	_ numa.ReconsideringPolicy = (*CoPlace)(nil)
-	_ numa.TopologyAware       = (*CoPlace)(nil)
 )

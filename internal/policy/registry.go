@@ -5,12 +5,8 @@
 //	name
 //	name:key=val,key=val
 //
-// e.g. "threshold:limit=2", "coplace:inner=decaythreshold,min=16".
+// e.g. "threshold:limit=2", "pragma:fallback=decaythreshold,limit=8".
 // Policies hold per-run state, so each run parses its own instance.
-//
-// The registry replaces the pre-redesign ByName(name, threshold) entry
-// point, which survives as a deprecated wrapper: old spellings keep
-// working, routed through the same factories.
 package policy
 
 import (
@@ -104,9 +100,8 @@ func Usage() string {
 // Args carries a parsed parameter list into a policy factory. Typed
 // accessors record which keys were consumed and collect conversion
 // errors; Parse reports the first error and any keys no factory asked
-// about. A factory that builds a sub-policy (pragma, coplace) passes
-// its Args through, so the inner policy's parameters live in the same
-// list.
+// about. A factory that builds a sub-policy (pragma) passes its Args
+// through, so the inner policy's parameters live in the same list.
 type Args struct {
 	policy string
 	kv     map[string]string
@@ -177,7 +172,7 @@ func (a *Args) Millis(key string, def sim.Time) sim.Time {
 
 // Policy builds the sub-policy named by parameter key (def when
 // absent), sharing this argument list, so the inner policy's
-// parameters ride along: "coplace:inner=threshold,limit=2".
+// parameters ride along: "pragma:fallback=threshold,limit=2".
 func (a *Args) Policy(key, def string) numa.Policy {
 	name := strings.ToLower(a.Str(key, def))
 	sp, ok := registry[name]
@@ -359,21 +354,6 @@ func init() {
 			c := NewClassifier(limit)
 			c.Interval = a.Millis("interval", c.Interval)
 			return c, nil
-		},
-	})
-	Register(Spec{
-		Name: "coplace",
-		Doc:  "wrap an inner policy with thread co-placement: advise migrating threads toward their hot pages",
-		Params: []Param{
-			{Key: "inner", Default: "decaythreshold", Doc: "page-placement policy to wrap"},
-			{Key: "min", Default: "8", Doc: "decayed heat a node needs before advising"},
-		},
-		New: func(a *Args) (numa.Policy, error) {
-			min := a.Int("min", 8)
-			if min < 1 {
-				return nil, fmt.Errorf("policy coplace: min %d < 1", min)
-			}
-			return NewCoPlace(a.Policy("inner", "decaythreshold"), min), nil
 		},
 	})
 }

@@ -20,7 +20,7 @@ func TestParseErrors(t *testing.T) {
 		{"threshold:=3", "malformed parameter"},
 		{"bandit:seed=-1", "want an unsigned integer"},
 		{"decaythreshold:interval=-5", "non-negative"},
-		{"coplace:inner=no-such-policy", "unknown policy"},
+		{"pragma:fallback=no-such-policy", "unknown policy"},
 	}
 	for _, c := range cases {
 		if _, err := Parse(c.spec); err == nil {
@@ -42,7 +42,7 @@ func TestParseSpellings(t *testing.T) {
 		{"Threshold : limit=2", "threshold(2)"},
 		{"THRESHOLD:limit=2,", "threshold(2)"},
 		{"bandit:eps=25,seed=9", "bandit(25%,9)"},
-		{"coplace:inner=threshold,limit=2,min=8", "coplace+threshold(2)"},
+		{"pragma:fallback=threshold,limit=2", "pragma+threshold(2)"},
 	}
 	for _, c := range cases {
 		pol, err := Parse(c.spec)
@@ -66,7 +66,7 @@ func TestRegistryCatalog(t *testing.T) {
 	for _, want := range []string{
 		"threshold", "neverpin", "allglobal", "alllocal", "pragma",
 		"reconsider", "freezedefrost", "decaythreshold", "bandit",
-		"classifier", "coplace",
+		"classifier",
 	} {
 		found := false
 		for _, n := range names {
@@ -79,7 +79,7 @@ func TestRegistryCatalog(t *testing.T) {
 		}
 	}
 	usage := Usage()
-	for _, want := range []string{"threshold", "limit=", "eps=", "inner=", "interval="} {
+	for _, want := range []string{"threshold", "limit=", "eps=", "fallback=", "interval="} {
 		if !strings.Contains(usage, want) {
 			t.Errorf("Usage() missing %q:\n%s", want, usage)
 		}

@@ -5,14 +5,13 @@ import "numasim/internal/vm"
 // Degraded-mode thread failover: when the health driver takes a node
 // offline, its processors stop receiving new threads immediately (pick
 // skips them) and the threads already bound there are moved off at their
-// next quantum boundary — the same boundary the co-placement hints use —
-// onto the least-loaded processor of the nearest surviving node. The
-// masks are nil until the first FailNode, so a run with no failure
-// schedule is byte-identical to one without this file.
+// next quantum boundary onto the least-loaded processor of the nearest
+// surviving node. The masks are nil until the first FailNode, so a run
+// with no failure schedule is byte-identical to one without this file.
 
 // FailNode marks node and every processor homed on it dead. New threads
-// and hint migrations avoid them; threads currently bound there fail
-// over at their next quantum boundary.
+// and migrations avoid them; threads currently bound there fail over at
+// their next quantum boundary.
 func (s *Scheduler) FailNode(node int) {
 	if node < 0 || node >= len(s.stats.NodeThreads) {
 		return

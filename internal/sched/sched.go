@@ -52,16 +52,13 @@ func ParseMode(s string) (Mode, error) {
 	return Affinity, fmt.Errorf("unknown scheduler %q (want affinity or noaffinity)", s)
 }
 
-// Stats counts scheduler events: thread spawns, the migration-hint
-// traffic of the co-placement channel (numa.ThreadMover), and where
+// Stats counts scheduler events: thread spawns, migrations, and where
 // threads ended up. NodeThreads counts each thread once, at the node
-// it was last bound to (spawn binding, updated by hint migrations);
-// NodeMigrations counts hint migrations into each node.
+// it was last bound to (spawn binding, updated by failover
+// migrations); NodeMigrations counts migrations into each node.
 type Stats struct {
 	Spawns         uint64
-	HintsAccepted  uint64
-	HintsRejected  uint64
-	Migrations     uint64 // accepted hints applied at quantum boundaries
+	Migrations     uint64 // threads rebound to another node at quantum boundaries
 	Failovers      uint64 // threads moved off dead processors at quantum boundaries
 	NodeThreads    []int
 	NodeMigrations []int
@@ -74,12 +71,8 @@ type Scheduler struct {
 	live   []int // live thread count per processor
 	next   int   // next processor for sequential assignment
 
-	// Migration-hint state (the numa.ThreadMover side of the
-	// co-placement channel): hint holds the advised node per thread id
-	// (-1 none), homeNode the node each thread is currently bound to
-	// (-1 unknown). Both are grown at Spawn, so the hot-path MigrateHint
-	// only indexes.
-	hint     []int32
+	// homeNode is the node each thread is currently bound to, by
+	// thread id (-1 unknown); grown at Spawn.
 	homeNode []int32
 	stats    Stats
 
@@ -149,10 +142,10 @@ func (s *Scheduler) Spawn(name string, task *vm.Task, start sim.Time, fn func(*v
 		if s.mode == NoAffinity {
 			c.OnQuantum = s.hop
 		} else {
-			// The affinity scheduler honours migration hints at quantum
-			// boundaries; with no hint pending the hook is exactly the
-			// default quantum yield.
-			c.OnQuantum = s.applyHint
+			// The affinity scheduler fails threads over at quantum
+			// boundaries; with every processor alive the hook is
+			// exactly the default quantum yield.
+			c.OnQuantum = s.quantum
 		}
 		fn(c)
 	})
@@ -166,15 +159,12 @@ func (s *Scheduler) Spawn(name string, task *vm.Task, start sim.Time, fn func(*v
 	return th
 }
 
-// track records a newly spawned thread's home node and sizes the hint
-// tables so the hot-path MigrateHint never grows them.
+// track records a newly spawned thread's home node.
 func (s *Scheduler) track(th *sim.Thread, node int) {
 	id := int(th.ID())
-	for len(s.hint) <= id {
-		s.hint = append(s.hint, -1)
+	for len(s.homeNode) <= id {
 		s.homeNode = append(s.homeNode, -1)
 	}
-	s.hint[id] = -1
 	s.homeNode[id] = int32(node)
 	s.stats.Spawns++
 	s.stats.NodeThreads[node]++
@@ -198,59 +188,20 @@ func (s *Scheduler) hop(c *vm.Context) {
 // Live reports the number of live threads bound to processor p.
 func (s *Scheduler) Live(p int) int { return s.live[p] }
 
-// MigrateHint records a request to rebind th to a processor homed on
-// node, applied at the thread's next quantum boundary. It implements
-// numa.ThreadMover: a ThreadAdvisor-capable policy reaches it through
-// the manager's co-placement channel. Hints are accepted only under
-// the affinity discipline (NoAffinity hops every quantum regardless)
-// and only for threads this scheduler spawned; a later hint for the
-// same thread replaces an unapplied earlier one. It runs on the
-// protocol hot path and must not allocate.
-//
-//numalint:hotpath
-func (s *Scheduler) MigrateHint(th *sim.Thread, node int) bool {
-	id := int(th.ID())
-	if s.mode != Affinity || node < 0 || node >= len(s.stats.NodeThreads) ||
-		id >= len(s.hint) || s.homeNode[id] < 0 ||
-		(s.deadNode != nil && s.deadNode[node]) {
-		s.stats.HintsRejected++
-		return false
-	}
-	if int(s.homeNode[id]) == node {
-		// Already bound there: honour the hint by doing nothing.
-		s.hint[id] = -1
-	} else {
-		s.hint[id] = int32(node)
-	}
-	s.stats.HintsAccepted++
-	return true
-}
-
-// applyHint is the affinity scheduler's quantum hook: fail the thread
-// over if its processor has died, apply a pending migration hint, then
-// yield the processor as an unhooked quantum would. A hint accepted
-// before its target node died is dropped, not applied.
-func (s *Scheduler) applyHint(c *vm.Context) {
+// quantum is the affinity scheduler's quantum hook: fail the thread
+// over if its processor has died, then yield the processor as an
+// unhooked quantum would.
+func (s *Scheduler) quantum(c *vm.Context) {
 	if s.deadProc != nil && s.deadProc[c.Proc()] {
 		s.failover(c)
-	}
-	id := int(c.Thread().ID())
-	if id < len(s.hint) {
-		if node := s.hint[id]; node >= 0 {
-			s.hint[id] = -1
-			if s.deadNode == nil || !s.deadNode[node] {
-				s.migrate(c, int(node))
-			}
-		}
 	}
 	c.Thread().Yield()
 }
 
 // migrate rebinds the context's thread to the least-loaded processor
 // homed on node (ties to the lowest processor number) and accounts the
-// move. The thread travels to its pages — co-placement's complement to
-// the protocol moving pages to threads — so no page traffic is charged
-// here; the next faults simply land closer.
+// move. No page traffic is charged here; the thread's pages stay where
+// they are and its next faults land from the new processor.
 func (s *Scheduler) migrate(c *vm.Context, node int) {
 	procs := s.kernel.Machine().NodeProcs(node)
 	target := -1

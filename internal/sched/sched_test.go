@@ -71,88 +71,72 @@ func TestModeAccessor(t *testing.T) {
 	}
 }
 
-// TestMigrateHint covers the explicit migration API: an accepted hint
-// moves the thread to the target node at its next quantum boundary, the
-// per-thread home-node accounting follows, and the stats ledger
-// reconciles with what the caller observed.
-func TestMigrateHint(t *testing.T) {
+// TestFailoverMigratesThread covers failover and the migration it
+// rides on: a thread whose node dies moves at its next quantum boundary
+// to the nearest surviving node (ties to the lowest node id), and the
+// per-node accounting follows it.
+func TestFailoverMigratesThread(t *testing.T) {
 	k := newKernel(4)
 	s := sched.New(k, sched.Affinity)
 	task := k.NewTask("t")
 	var before, after int
-	var th *sim.Thread
-	th = s.Spawn("w", task, 0, func(c *vm.Context) {
+	s.Spawn("w", task, 0, func(c *vm.Context) {
 		before = c.Proc()
-		if !s.MigrateHint(th, 2) {
-			t.Error("in-range hint on an affinity scheduler rejected")
-		}
-		c.Compute(20000) // cross a quantum boundary so the hint applies
+		s.FailNode(k.Machine().Home(before))
+		c.Compute(20000) // cross a quantum boundary so failover runs
 		after = c.Proc()
 	})
 	if err := k.Machine().Engine().Run(); err != nil {
 		t.Fatal(err)
 	}
-	if home := k.Machine().Home(before); home == 2 {
-		t.Fatalf("test setup: thread spawned on the target node")
+	if home := k.Machine().Home(before); home != 0 {
+		t.Fatalf("test setup: thread spawned on node %d, want 0", home)
 	}
-	if home := k.Machine().Home(after); home != 2 {
-		t.Errorf("after an accepted hint the thread runs on node %d, want 2", home)
+	if home := k.Machine().Home(after); home != 1 {
+		t.Errorf("after failover the thread runs on node %d, want 1", home)
 	}
 	st := s.Stats()
-	if st.HintsAccepted != 1 || st.Migrations != 1 {
-		t.Errorf("stats = %+v, want 1 accepted hint and 1 migration", st)
+	if st.Failovers != 1 || st.Migrations != 1 {
+		t.Errorf("stats = %+v, want 1 failover and 1 migration", st)
 	}
-	if st.NodeMigrations[2] != 1 {
-		t.Errorf("NodeMigrations[2] = %d, want 1", st.NodeMigrations[2])
+	if st.NodeMigrations[1] != 1 {
+		t.Errorf("NodeMigrations[1] = %d, want 1", st.NodeMigrations[1])
 	}
-	if st.NodeThreads[2] != 1 {
-		t.Errorf("NodeThreads[2] = %d, want 1 (the migrated thread's new home)", st.NodeThreads[2])
+	if st.NodeThreads[0] != 0 || st.NodeThreads[1] != 1 {
+		t.Errorf("NodeThreads = %v, want the thread counted on node 1 only", st.NodeThreads)
 	}
 }
 
-// TestMigrateHintRejections checks the rejection cases: out-of-range
-// nodes, untracked threads, and any hint on a no-affinity scheduler.
-func TestMigrateHintRejections(t *testing.T) {
-	k := newKernel(2)
+// TestFailedNodeSkippedBySpawn checks that new threads avoid a dead
+// node's processors, and that reviving the node lifts the mask.
+func TestFailedNodeSkippedBySpawn(t *testing.T) {
+	k := newKernel(4)
 	s := sched.New(k, sched.Affinity)
 	task := k.NewTask("t")
-	var th *sim.Thread
-	th = s.Spawn("w", task, 0, func(c *vm.Context) {
-		if s.MigrateHint(th, -1) || s.MigrateHint(th, 99) {
-			t.Error("out-of-range node accepted")
-		}
-		// A hint for the node the thread already lives on is accepted
-		// but clears any pending move.
-		if !s.MigrateHint(th, k.Machine().Home(c.Proc())) {
-			t.Error("same-node hint rejected")
-		}
-		c.Compute(1000)
-	})
+	s.FailNode(0)
+	if !s.NodeDead(0) {
+		t.Fatal("NodeDead(0) = false after FailNode(0)")
+	}
+	var procs []int
+	for i := 0; i < 3; i++ {
+		s.Spawn("w", task, 0, func(c *vm.Context) {
+			procs = append(procs, c.Proc())
+			c.Compute(1000)
+		})
+	}
 	if err := k.Machine().Engine().Run(); err != nil {
 		t.Fatal(err)
 	}
-	st := s.Stats()
-	if st.HintsRejected != 2 {
-		t.Errorf("HintsRejected = %d, want 2", st.HintsRejected)
-	}
-	if st.Migrations != 0 {
-		t.Errorf("Migrations = %d, want 0 (same-node hint must not move)", st.Migrations)
-	}
-
-	k2 := newKernel(2)
-	s2 := sched.New(k2, sched.NoAffinity)
-	task2 := k2.NewTask("t")
-	var th2 *sim.Thread
-	th2 = s2.Spawn("w", task2, 0, func(c *vm.Context) {
-		if s2.MigrateHint(th2, 1) {
-			t.Error("no-affinity scheduler accepted a hint")
+	for i, p := range procs {
+		if k.Machine().Home(p) == 0 {
+			t.Errorf("spawn %d landed on cpu%d of the dead node", i, p)
 		}
-		c.Compute(1000)
-	})
-	if err := k2.Machine().Engine().Run(); err != nil {
-		t.Fatal(err)
 	}
-	if got := s2.Stats().HintsRejected; got != 1 {
-		t.Errorf("no-affinity HintsRejected = %d, want 1", got)
+	if st := s.Stats(); st.Failovers != 0 || st.Migrations != 0 {
+		t.Errorf("stats = %+v, want no failovers or migrations", st)
+	}
+	s.ReviveNode(0)
+	if s.NodeDead(0) {
+		t.Error("NodeDead(0) = true after ReviveNode(0)")
 	}
 }

@@ -80,13 +80,9 @@ const (
 	// queueing delay charged in virtual nanoseconds, Arg: the node of the
 	// frame being accessed, or -1 for interleaved global memory).
 	KindLinkWait
-	// KindSchedHint: a policy advised the scheduler to migrate a thread
-	// toward a node (Arg: the advised node, Arg2: 1 if the scheduler
-	// accepted the hint, 0 if it rejected it, Label: policy name).
-	KindSchedHint
-	// KindSchedMigrate: the scheduler applied an accepted hint at a
-	// quantum boundary, rebinding the thread (Proc: the new processor,
-	// Arg: the target node, Arg2: the processor left behind).
+	// KindSchedMigrate: the scheduler rebound a thread to another node
+	// at a quantum boundary (Proc: the new processor, Arg: the target
+	// node, Arg2: the processor left behind).
 	KindSchedMigrate
 	// KindNodeOffline: a health schedule marked a node failing (Arg: the
 	// node; Arg2: the number of resident pages evacuated from it).
@@ -112,7 +108,7 @@ var kindNames = [KindCount]string{
 	"dispatch", "span", "fault-enter", "fault-exit", "decision",
 	"action", "state-change", "page-created", "page-freed", "pin",
 	"map-enter", "sched-assign", "pressure", "evict", "retry",
-	"link-wait", "sched-hint", "sched-migrate",
+	"link-wait", "sched-migrate",
 	"node-offline", "node-online", "link-change", "evacuate",
 }
 
@@ -171,12 +167,6 @@ func (e Event) String() string {
 		fmt.Fprintf(&b, " attempt=%d backoff=%dns", e.Arg, e.Dur)
 	case KindLinkWait:
 		fmt.Fprintf(&b, " node=%d queued=%dns", e.Arg, e.Dur)
-	case KindSchedHint:
-		verdict := "rejected"
-		if e.Arg2 != 0 {
-			verdict = "accepted"
-		}
-		fmt.Fprintf(&b, " node=%d %s", e.Arg, verdict)
 	case KindSchedMigrate:
 		fmt.Fprintf(&b, " node=%d from=cpu%d", e.Arg, e.Arg2)
 	case KindNodeOffline:

@@ -5,7 +5,6 @@ import (
 
 	"numasim/internal/mmu"
 	"numasim/internal/policy"
-	"numasim/internal/sim"
 	"numasim/internal/vm"
 )
 
@@ -137,47 +136,38 @@ func TestHotPathRootsZeroAlloc(t *testing.T) {
 	}
 }
 
-// heatMover is the zero-allocation guard's stand-in scheduler: hint
-// recording must not allocate either.
-type heatMover struct{ calls int }
-
-// MigrateHint implements numa.ThreadMover.
-//
-//numalint:hotpath
-func (m *heatMover) MigrateHint(th *sim.Thread, node int) bool {
-	m.calls++
-	return false
-}
-
 // TestHeatPathZeroAlloc extends the guard to the adaptive-policy
-// machinery: with a capability-bearing policy bound (observer, advisor,
-// retirer all live) and a thread mover wired in, the steady-state
-// refault path — which now also decays and bumps the heat histograms,
-// consults the advisor and offers hints to the mover — must still
-// allocate nothing per access.
+// machinery: with a capability-bearing policy bound — an observer
+// (decaythreshold) or an epoch retirer (bandit) — the steady-state
+// refault path, which now also decays and bumps the heat histograms and
+// runs the bound capability, must still allocate nothing per access.
 func TestHeatPathZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime allocates on the hot path; guard runs in non-race CI")
 	}
-	pol, err := policy.Parse("coplace:min=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fault float64
-	run1(t, smallCfg(2), pol, func(c *vm.Context) {
-		c.Kernel().NUMA().SetThreadMover(&heatMover{})
-		base := c.Task().Allocate("data", 8192, mmu.ProtReadWrite)
-		c.Store32(base, 1)
-		_ = c.Load32(base)
-		pm := c.Kernel().Pmap()
-		fault = testing.AllocsPerRun(50, func() {
-			if pg := c.Task().Pmap().Resident(base); pg != nil {
-				pm.RemoveAll(c.Thread(), pg)
+	for _, spec := range []string{"decaythreshold", "bandit"} {
+		pol, err := policy.Parse(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fault float64
+		run1(t, smallCfg(2), pol, func(c *vm.Context) {
+			if !c.Kernel().NUMA().TracksHeat() {
+				t.Errorf("%s: heat tracking is off", spec)
 			}
+			base := c.Task().Allocate("data", 8192, mmu.ProtReadWrite)
+			c.Store32(base, 1)
 			_ = c.Load32(base)
+			pm := c.Kernel().Pmap()
+			fault = testing.AllocsPerRun(50, func() {
+				if pg := c.Task().Pmap().Resident(base); pg != nil {
+					pm.RemoveAll(c.Thread(), pg)
+				}
+				_ = c.Load32(base)
+			})
 		})
-	})
-	if fault != 0 {
-		t.Errorf("heat-tracking fault path allocates %.1f objects per access, want 0", fault)
+		if fault != 0 {
+			t.Errorf("%s: heat-tracking fault path allocates %.1f objects per access, want 0", spec, fault)
+		}
 	}
 }

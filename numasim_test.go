@@ -7,12 +7,23 @@ import (
 	"numasim"
 )
 
+// newSystem builds a system through New, failing the test or benchmark
+// on a configuration error.
+func newSystem(tb testing.TB, cfg numasim.Config, pol numasim.Policy) *numasim.System {
+	tb.Helper()
+	sys, err := numasim.New(numasim.WithConfig(cfg), numasim.WithPolicy(pol))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sys
+}
+
 // TestPublicAPIEndToEnd drives the whole system through the facade only,
 // the way a downstream user would.
 func TestPublicAPIEndToEnd(t *testing.T) {
 	cfg := numasim.DefaultConfig()
 	cfg.NProc = 3
-	sys := numasim.NewSystem(cfg, numasim.DefaultPolicy(), numasim.Affinity)
+	sys := newSystem(t, cfg, numasim.DefaultPolicy())
 
 	collector := numasim.NewTraceCollector(sys.Machine.PageShift(), true)
 	sys.Kernel.RefTrace = collector.Hook()
