@@ -521,15 +521,22 @@ func (m *Machine) ChargeStore(th *sim.Thread, proc int, f *mem.Frame) {
 // chargeLink routes a transfer touching frame f over the interconnect and
 // charges th for any queueing delay the busy links imposed — as system
 // time for kernel page operations (sys true), user time otherwise. On
-// uncontended topologies (the ACE) this is a single branch and no charge.
+// uncontended topologies (the ACE) this is a single branch and no charge;
+// the contended case lives in chargeLinkSlow so the branch inlines into
+// the reference charges.
 //
 //numalint:hotpath
 func (m *Machine) chargeLink(th *sim.Thread, proc int, f *mem.Frame, bytes int, sys bool) {
-	t := m.topo
-	if !t.Contended() {
-		return
+	if m.topo.Contended() {
+		m.chargeLinkSlow(th, proc, f, bytes, sys)
 	}
-	wait := t.ChargeTransfer(th.Clock(), proc, m.spec.Col(f.Proc()), bytes)
+}
+
+// chargeLinkSlow is chargeLink on a contended topology.
+//
+//numalint:hotpath
+func (m *Machine) chargeLinkSlow(th *sim.Thread, proc int, f *mem.Frame, bytes int, sys bool) {
+	wait := m.topo.ChargeTransfer(th.Clock(), proc, m.spec.Col(f.Proc()), bytes)
 	if wait == 0 {
 		return
 	}

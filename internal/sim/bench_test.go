@@ -34,3 +34,23 @@ func BenchmarkPick(b *testing.B) {
 		b.Run("linear/"+strconv.Itoa(n), func(b *testing.B) { benchPick(b, n, true) })
 	}
 }
+
+// BenchmarkHandoff measures one dispatch when every dispatch switches
+// threads: two threads at equal clocks alternate, so each Yield resumes
+// the other thread's goroutine.
+func BenchmarkHandoff(b *testing.B) {
+	e := NewEngine()
+	iters := b.N/2 + 1
+	for i := 0; i < 2; i++ {
+		e.Spawn("t", 0, func(th *Thread) {
+			for j := 0; j < iters; j++ {
+				th.Advance(Microsecond)
+				th.Yield()
+			}
+		})
+	}
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}

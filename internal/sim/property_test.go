@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"numasim/internal/simtrace"
 )
 
 // TestUserTimeConservation: total user time equals the sum of all Advance
@@ -96,18 +98,19 @@ func TestClockMonotonic(t *testing.T) {
 
 // scheduleTrace runs a randomized program of Spawn/Advance/Yield/Block/
 // Wake/Bind/Join operations on an engine and records the exact schedule:
-// the (thread id, clock) pair at every context switch, plus each thread's
-// final clock and user time and the run's error. The program is fully
-// determined by the seed, so two engines given the same seed execute the
-// same program.
-func scheduleTrace(seed int64, linear bool) (schedule []int64, err error) {
+// the engine's full KindDispatch/KindSpan event stream (which thread ran,
+// on which processor, from which clock, for how long), plus each thread's
+// final clock and user and system time, and the run's error. The program
+// is fully determined by the seed, so two engines given the same seed
+// execute the same program.
+func scheduleTrace(seed int64, linear bool) (events []simtrace.Event, final []int64, err error) {
 	rng := rand.New(rand.NewSource(seed))
 	e := NewEngine()
 	e.linearPick = linear
-	cpus := []*Resource{{Name: "a"}, {Name: "b"}, {Name: "c"}}
-	e.Trace = func(t *Thread) {
-		schedule = append(schedule, int64(t.id), int64(t.clock))
-	}
+	sink := &simtrace.ListSink{}
+	e.Bus = simtrace.NewBus()
+	e.Bus.Attach(sink)
+	cpus := []*Resource{{Name: "a", ID: 0}, {Name: "b", ID: 1}, {Name: "c", ID: 2}}
 	n := rng.Intn(6) + 2
 	threads := make([]*Thread, n)
 	body := func(i int) func(*Thread) {
@@ -149,27 +152,33 @@ func scheduleTrace(seed int64, linear bool) (schedule []int64, err error) {
 	}
 	err = e.Run()
 	for _, t := range threads {
-		schedule = append(schedule, int64(t.Clock()), int64(t.UserTime()), int64(t.SysTime()))
+		final = append(final, int64(t.Clock()), int64(t.UserTime()), int64(t.SysTime()))
 	}
-	return schedule, err
+	return sink.Events(), final, err
 }
 
 // TestPickHeapMatchesLinearScan: the heap-based ready queue must produce
-// exactly the schedule of the original O(n) scan — same threads resumed in
-// the same order at the same clocks — on randomized programs exercising
-// Spawn, Yield, Block, Wake and Bind. Deadlocking programs must deadlock
-// identically.
+// exactly the schedule of the original O(n) scan — the same dispatch and
+// span events, so the same threads resumed in the same order at the same
+// clocks — on randomized programs exercising Spawn, Yield, Block, Wake and
+// Bind. Deadlocking programs must deadlock identically.
 func TestPickHeapMatchesLinearScan(t *testing.T) {
 	prop := func(seed int64) bool {
-		heapSched, heapErr := scheduleTrace(seed, false)
-		linSched, linErr := scheduleTrace(seed, true)
-		if len(heapSched) != len(linSched) {
-			t.Logf("seed %d: schedule lengths differ: heap %d, linear %d", seed, len(heapSched), len(linSched))
+		heapEvents, heapFinal, heapErr := scheduleTrace(seed, false)
+		linEvents, linFinal, linErr := scheduleTrace(seed, true)
+		if len(heapEvents) != len(linEvents) {
+			t.Logf("seed %d: event counts differ: heap %d, linear %d", seed, len(heapEvents), len(linEvents))
 			return false
 		}
-		for i := range heapSched {
-			if heapSched[i] != linSched[i] {
-				t.Logf("seed %d: schedules diverge at %d: heap %d, linear %d", seed, i, heapSched[i], linSched[i])
+		for i := range heapEvents {
+			if heapEvents[i] != linEvents[i] {
+				t.Logf("seed %d: event streams diverge at %d: heap %+v, linear %+v", seed, i, heapEvents[i], linEvents[i])
+				return false
+			}
+		}
+		for i := range heapFinal {
+			if heapFinal[i] != linFinal[i] {
+				t.Logf("seed %d: final thread times diverge at %d: heap %d, linear %d", seed, i, heapFinal[i], linFinal[i])
 				return false
 			}
 		}

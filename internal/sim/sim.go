@@ -1,17 +1,21 @@
 // Package sim provides a deterministic discrete-event execution engine for
 // virtual-time threads.
 //
-// Each simulated thread runs in its own goroutine, but the engine resumes
-// exactly one thread at a time: always the ready thread with the smallest
-// effective virtual clock (ties broken by yield order). The simulation is
-// therefore single-threaded in effect — shared simulation state needs no
-// locking — and completely deterministic for a given program.
+// Each simulated thread runs in its own goroutine, but exactly one thread
+// runs at a time: always the ready thread with the smallest effective
+// virtual clock (ties broken by yield order). The simulation is therefore
+// single-threaded in effect — shared simulation state needs no locking —
+// and completely deterministic for a given program.
 //
 // Threads advance their own clocks explicitly (Advance, AdvanceSys) and give
-// up control explicitly (Yield, Block). A thread may be bound to an exclusive
-// Resource (a simulated processor): while one thread runs on a resource, any
-// other thread bound to it cannot start before the first yields, which models
-// time-slicing without preemption.
+// up control explicitly (Yield, Block). A thread that gives up control picks
+// the next thread itself: it keeps running when it is still the earliest
+// ready thread, and otherwise resumes the next thread directly. The goroutine
+// that called Engine.Run only starts the run and tears it down (on Stop, a
+// stall, a thread error, deadlock or completion). A thread may be bound to
+// an exclusive Resource (a simulated processor): while one thread runs on a
+// resource, any other thread bound to it cannot start before the first
+// yields, which models time-slicing without preemption.
 package sim
 
 import (
@@ -272,12 +276,18 @@ func (t *Thread) mustBeRunning(op string) {
 	}
 }
 
-// park hands control back to the engine and waits to be resumed.
+// park ends the thread's span and passes control on: it keeps running when
+// it is still the next thread to run, resumes the next thread directly
+// otherwise, and hands the run's result to the engine goroutine when there
+// is no next thread. It returns once the thread is dispatched again.
 func (t *Thread) park() {
 	e := t.engine
-	e.park <- t
-	msg := <-t.resume
-	if msg.abort {
+	next, err := e.next(t)
+	if next == t {
+		return
+	}
+	e.pass(next, err)
+	if msg := <-t.resume; msg.abort {
 		panic(abortSignal{})
 	}
 }
@@ -287,17 +297,18 @@ type Engine struct {
 	threads []*Thread
 	ready   []*Thread // min-heap on (key, seq); key lower-bounds effTime
 	running *Thread
-	park    chan *Thread
-	nextID  int
-	seq     uint64
-	started bool
+	// control carries the run's result from the thread that ends it back
+	// to the goroutine in Run, and the acknowledgement of each aborted
+	// thread during teardown.
+	control  chan error
+	aborting bool // set for teardown: finishing threads dispatch nothing
+	nextID   int
+	seq      uint64
+	started  bool
 	// linearPick forces the O(n) ready scan instead of the heap; the
 	// scheduler-equivalence property test uses it to drive both
 	// implementations on identical programs.
 	linearPick bool
-	// Trace, if non-nil, is called on every context switch with the thread
-	// about to run.
-	Trace func(t *Thread)
 	// Bus, if non-nil, receives structured dispatch and execution-span
 	// events. The engine only emits while a sink is attached.
 	Bus *simtrace.Bus
@@ -307,10 +318,11 @@ type Engine struct {
 	// DefaultStallLimit; a non-positive value disables the watchdog.
 	StallLimit int
 
-	stallRun int         // consecutive no-progress dispatches
-	frontier Time        // high-water mark of dispatch virtual time
-	stop     atomic.Bool // set by Stop, checked at each dispatch boundary
-	dumpers  []func() DumpSection
+	spanStart Time        // the running thread's clock at its dispatch
+	stallRun  int         // consecutive no-progress dispatches
+	frontier  Time        // high-water mark of dispatch virtual time
+	stop      atomic.Bool // set by Stop, checked at each dispatch boundary
+	dumpers   []func() DumpSection
 }
 
 // DefaultStallLimit bounds consecutive zero-progress dispatches. Real
@@ -320,7 +332,7 @@ const DefaultStallLimit = 1 << 20
 
 // NewEngine returns an empty engine.
 func NewEngine() *Engine {
-	return &Engine{park: make(chan *Thread), StallLimit: DefaultStallLimit}
+	return &Engine{control: make(chan error), StallLimit: DefaultStallLimit}
 }
 
 // Stop asks the engine to abandon the run at the next dispatch boundary,
@@ -382,6 +394,8 @@ func (t *Thread) top(fn func(*Thread)) {
 	fn(t)
 }
 
+// finish records the thread's end and passes control on, as park does; the
+// goroutine then exits. During teardown it only acknowledges the abort.
 func (t *Thread) finish(err error) {
 	t.state = Done
 	t.err = err
@@ -392,7 +406,22 @@ func (t *Thread) finish(err error) {
 		j.Wake(t.clock)
 	}
 	t.joiners = nil
-	t.engine.park <- t
+	e := t.engine
+	if e.aborting {
+		e.control <- nil
+		return
+	}
+	e.pass(e.next(t))
+}
+
+// pass resumes next, or, when the run has ended (next is nil), hands the
+// run's result to the goroutine in Run.
+func (e *Engine) pass(next *Thread, err error) {
+	if next != nil {
+		next.resume <- resumeMsg{}
+		return
+	}
+	e.control <- err
 }
 
 // effTime is the earliest virtual time at which t could actually run.
@@ -513,85 +542,110 @@ func (e *Engine) readyFix(i int) {
 // Run executes the simulation until every thread has finished. It returns
 // the first thread error encountered (aborting all other threads), or a
 // deadlock error if blocked threads remain with nothing ready.
+//
+// Run dispatches only the first thread; from then on each thread that
+// yields, blocks or finishes dispatches the next one itself (see park).
+// Control comes back here only when the run ends.
 func (e *Engine) Run() error {
 	if e.started {
 		return errors.New("sim: engine already run")
 	}
 	e.started = true
 	// A batching sink may hold buffered events; deliver them however the
-	// loop exits so post-run readers always see the complete stream.
+	// run ends so post-run readers always see the complete stream.
 	defer e.Bus.Flush()
-	for {
-		if e.stop.Load() {
-			err := &StoppedError{Dump: e.DumpState()}
-			e.abort()
-			return err
-		}
-		t := e.pick()
-		if t == nil {
-			if stuck := e.blockedList(); len(stuck) > 0 {
-				err := &DeadlockError{Blocked: stuck, Dump: e.DumpState()}
-				e.abort()
-				return err
-			}
-			return nil
-		}
-		// Waiting for the processor is idle time, not user time.
-		if et := t.effTime(); t.clock < et {
-			t.clock = et
-		}
-		t.state = Running
-		e.running = t
-		if e.Trace != nil {
-			e.Trace(t)
-		}
-		spanStart := t.clock
-		if e.Bus.Enabled() {
-			e.Bus.Emit(simtrace.Event{
-				Kind: simtrace.KindDispatch, Proc: resourceID(t.res),
-				Thread: int32(t.id), Time: int64(t.clock), Page: -1,
-			})
-		}
+	t, err := e.next(nil)
+	if t != nil {
 		t.resume <- resumeMsg{}
-		parked := <-e.park
-		e.running = nil
-		if e.Bus.Enabled() && parked.clock > spanStart {
-			e.Bus.Emit(simtrace.Event{
-				Kind: simtrace.KindSpan, Proc: resourceID(parked.res),
-				Thread: int32(parked.id), Time: int64(spanStart),
-				Dur: int64(parked.clock - spanStart), Page: -1,
-				Label: parked.name,
-			})
-		}
-		if parked.res != nil && parked.res.freeAt < parked.clock {
-			parked.res.freeAt = parked.clock
-		}
-		if parked.state == Done && parked.err != nil && parked.err != ErrAborted {
-			err := parked.err
-			e.abort()
-			return err
-		}
-		// Stall watchdog: a dispatch makes progress when the thread's clock
-		// advanced or the dispatch time pushed past the frontier. A long run
-		// of zero-progress dispatches at a frozen virtual time is a livelock
-		// (threads yielding to each other without charging any time), which
-		// the deadlock check above can never catch.
-		if parked.clock > spanStart || spanStart > e.frontier {
-			e.stallRun = 0
-			if parked.clock > e.frontier {
-				e.frontier = parked.clock
-			} else if spanStart > e.frontier {
-				e.frontier = spanStart
-			}
-		} else {
-			e.stallRun++
-			if e.StallLimit > 0 && e.stallRun >= e.StallLimit {
-				err := &StallError{At: spanStart, Dispatches: e.stallRun, Dump: e.DumpState()}
-				e.abort()
-				return err
-			}
+		err = <-e.control
+	}
+	if err != nil {
+		e.abort()
+	}
+	return err
+}
+
+// next is one dispatch boundary. It ends parked's span (parked is nil at
+// the start of the run), checks for Stop, picks the next thread and begins
+// its span. It returns nil when the run must end, with the run's result: a
+// thread error, a stall, a stop, a deadlock, or nil once every thread has
+// finished.
+func (e *Engine) next(parked *Thread) (*Thread, error) {
+	if parked != nil {
+		if err := e.endSpan(parked); err != nil {
+			return nil, err
 		}
 	}
+	if e.stop.Load() {
+		return nil, &StoppedError{Dump: e.DumpState()}
+	}
+	t := e.pick()
+	if t == nil {
+		if stuck := e.blockedList(); len(stuck) > 0 {
+			return nil, &DeadlockError{Blocked: stuck, Dump: e.DumpState()}
+		}
+		return nil, nil
+	}
+	e.beginSpan(t)
+	return t, nil
+}
+
+// beginSpan makes t the running thread and emits its dispatch event.
+func (e *Engine) beginSpan(t *Thread) {
+	// Waiting for the processor is idle time, not user time.
+	if et := t.effTime(); t.clock < et {
+		t.clock = et
+	}
+	t.state = Running
+	e.running = t
+	e.spanStart = t.clock
+	if e.Bus.Enabled() {
+		e.Bus.Emit(simtrace.Event{
+			Kind: simtrace.KindDispatch, Proc: resourceID(t.res),
+			Thread: int32(t.id), Time: int64(t.clock), Page: -1,
+		})
+	}
+}
+
+// endSpan closes the span of the thread that just gave up control: it emits
+// the span event, releases the thread's resource at its clock, and runs the
+// stall watchdog. It returns the error that ends the run, if any.
+func (e *Engine) endSpan(parked *Thread) error {
+	e.running = nil
+	spanStart := e.spanStart
+	if e.Bus.Enabled() && parked.clock > spanStart {
+		e.Bus.Emit(simtrace.Event{
+			Kind: simtrace.KindSpan, Proc: resourceID(parked.res),
+			Thread: int32(parked.id), Time: int64(spanStart),
+			Dur: int64(parked.clock - spanStart), Page: -1,
+			Label: parked.name,
+		})
+	}
+	if parked.res != nil && parked.res.freeAt < parked.clock {
+		parked.res.freeAt = parked.clock
+	}
+	if parked.state == Done && parked.err != nil && parked.err != ErrAborted {
+		return parked.err
+	}
+	// Stall watchdog: a dispatch makes progress when the thread's clock
+	// advanced or the dispatch time pushed past the frontier. A long run
+	// of zero-progress dispatches at a frozen virtual time is a livelock
+	// (threads yielding to each other without charging any time), which
+	// the deadlock check can never catch.
+	if parked.clock > spanStart || spanStart > e.frontier {
+		e.stallRun = 0
+		if parked.clock > e.frontier {
+			e.frontier = parked.clock
+		} else if spanStart > e.frontier {
+			e.frontier = spanStart
+		}
+		return nil
+	}
+	e.stallRun++
+	if e.StallLimit > 0 && e.stallRun >= e.StallLimit {
+		return &StallError{At: spanStart, Dispatches: e.stallRun, Dump: e.DumpState()}
+	}
+	return nil
 }
 
 // resourceID maps a bound resource to its trace processor number (-1 for
@@ -618,11 +672,12 @@ func (e *Engine) blockedList() []string {
 
 // abort tears down every live thread so their goroutines exit.
 func (e *Engine) abort() {
+	e.aborting = true
 	for _, t := range e.threads {
 		if t.state == Ready || t.state == Blocked {
 			t.state = Running
 			t.resume <- resumeMsg{abort: true}
-			<-e.park
+			<-e.control
 		}
 	}
 }

@@ -3,6 +3,8 @@ package sim
 import (
 	"strings"
 	"testing"
+
+	"numasim/internal/simtrace"
 )
 
 func TestTimeString(t *testing.T) {
@@ -338,16 +340,26 @@ func TestRunTwiceFails(t *testing.T) {
 	}
 }
 
+// TestTraceHook: a thread that yields twice is dispatched three times;
+// each dispatch emits one KindDispatch event, including the two where
+// the yielding thread is still the earliest and keeps running.
 func TestTraceHook(t *testing.T) {
 	e := NewEngine()
-	var switches int
-	e.Trace = func(th *Thread) { switches++ }
+	sink := &simtrace.ListSink{}
+	e.Bus = simtrace.NewBus()
+	e.Bus.Attach(sink)
 	e.Spawn("a", 0, func(th *Thread) {
 		th.Yield()
 		th.Yield()
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
+	}
+	var switches int
+	for _, ev := range sink.Events() {
+		if ev.Kind == simtrace.KindDispatch {
+			switches++
+		}
 	}
 	if switches != 3 {
 		t.Errorf("switches = %d, want 3", switches)

@@ -28,7 +28,8 @@ type Kind uint8
 
 // Event kinds. KindCount is the number of kinds, not a kind.
 const (
-	// KindDispatch: the engine resumed a thread (one per context switch).
+	// KindDispatch: the engine dispatched a thread (one per dispatch, also
+	// when a yielding thread is dispatched again and keeps running).
 	KindDispatch Kind = iota
 	// KindSpan: a thread ran on a processor for [Time, Time+Dur).
 	KindSpan

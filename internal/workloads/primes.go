@@ -30,6 +30,16 @@ func hostSieve(limit uint32) []uint32 {
 
 func countPrimes(limit uint32) int { return len(hostSieve(limit)) }
 
+// primeSet indexes primes (all at most limit) by value: set[p] is true
+// exactly for the listed primes.
+func primeSet(primes []uint32, limit uint32) []bool {
+	set := make([]bool, uint64(limit)+1)
+	for _, p := range primes {
+		set[p] = true
+	}
+	return set
+}
+
 // Primes1 "determines if an odd number is prime by dividing it by all odd
 // numbers less than its square root and checking for remainders. It
 // computes heavily (division is expensive on the ACE) and most of its
@@ -280,16 +290,13 @@ func (w *Primes2) verify() error {
 	}
 	// The vector holds exactly the primes (seeds in order, the rest in
 	// completion order): check as a set.
-	wantSet := make(map[uint32]bool, len(want))
-	for _, p := range want {
-		wantSet[p] = true
-	}
+	wantSet := primeSet(want, w.Limit)
 	for i := 0; i < got; i++ {
 		v := readWord(w.task, w.outVec+uint32(i)*4)
-		if !wantSet[v] {
+		if v > w.Limit || !wantSet[v] {
 			return fmt.Errorf("%s: output[%d] = %d is not prime or duplicated", w.Name(), i, v)
 		}
-		delete(wantSet, v)
+		wantSet[v] = false
 	}
 	return nil
 }
@@ -430,16 +437,13 @@ func (w *Primes3) verify() error {
 	if got != len(want) {
 		return fmt.Errorf("Primes3: found %d odd primes, want %d", got, len(want))
 	}
-	wantSet := make(map[uint32]bool, len(want))
-	for _, p := range want {
-		wantSet[p] = true
-	}
+	wantSet := primeSet(want, w.Limit)
 	for i := 0; i < got; i++ {
 		v := readWord(w.task, w.outVec+uint32(i)*4)
-		if !wantSet[v] {
+		if v > w.Limit || !wantSet[v] {
 			return fmt.Errorf("Primes3: output[%d] = %d is not an odd prime or duplicated", i, v)
 		}
-		delete(wantSet, v)
+		wantSet[v] = false
 	}
 	return nil
 }
