@@ -1,14 +1,15 @@
 // Command acesim runs one or more of the paper's applications on the
 // simulated ACE under a chosen NUMA policy and reports timing, placement
-// and reference statistics — optionally with a reference trace,
-// false-sharing analysis (§4.2, §5), and a structured event trace
-// exported as Chrome trace-event JSON for Perfetto.
+// and reference statistics — optionally with a reference trace (sharing
+// classes, the busiest pages and false-sharing analysis, §4.2, §5) and a
+// structured event trace exported as Chrome trace-event JSON for
+// Perfetto.
 //
 // Usage:
 //
 //	acesim -app IMatMult [-policy threshold] [-nproc 7]
 //	       [-topology ace|4socket|mesh8]
-//	       [-workers N] [-sched affinity] [-trace] [-traceout FILE]
+//	       [-workers N] [-sched affinity] [-trace]
 //	       [-trace-out FILE] [-unixmaster] [-pagesize N] [-size N]
 //	       [-perproc] [-replication=false] [-parallel N]
 //	       [-cpuprofile FILE] [-memprofile FILE]
@@ -20,10 +21,14 @@
 // simulations run concurrently (bounded by -parallel; results are
 // identical at every setting) and the reports print in the order given.
 //
-// -traceout saves the per-page reference trace in the binary format
-// traceview analyzes; -trace-out saves the structured event trace as
-// Chrome trace-event JSON, loadable at ui.perfetto.dev (one track per
-// processor, async tracks for page lifetimes). Both require a single -app.
+// -trace appends the per-page reference trace's report: sharing classes,
+// false sharing and the ten busiest pages. -trace-out saves the
+// structured event trace as Chrome trace-event JSON, loadable at
+// ui.perfetto.dev (one track per processor, async tracks for page
+// lifetimes) and summarized by traceview; it requires a single -app.
+//
+// Each application runs through metrics.Run, the same run assembly the
+// tables command measures with.
 //
 // -exp NAME runs a harness-registry experiment instead of a single app
 // (the same registry the tables command prints from; -exp list names
@@ -48,9 +53,7 @@ import (
 	"strings"
 
 	"numasim/internal/ace"
-	"numasim/internal/chaos"
 	"numasim/internal/cliflags"
-	"numasim/internal/cthreads"
 	"numasim/internal/harness"
 	"numasim/internal/metrics"
 	"numasim/internal/policy"
@@ -58,35 +61,27 @@ import (
 	"numasim/internal/simtrace"
 	"numasim/internal/topology"
 	"numasim/internal/trace"
-	"numasim/internal/vm"
 	"numasim/internal/workloads"
 )
 
-// runOpts carries the per-run configuration shared by every -app entry.
+// runOpts carries the per-run configuration shared by every -app entry:
+// the run spec (its policy aside: policies carry state, so each run
+// parses a fresh one) and the report's optional parts.
 type runOpts struct {
-	polName     string
-	topology    string
-	nproc       int
-	workers     int
-	mode        sched.Mode
-	doTrace     bool
-	traceOut    string
-	chromeOut   string
-	unixMaster  bool
-	pageSize    int
-	size        int
-	perProc     bool
-	replication bool
-	audit       int
-	stallLimit  int
-	forensics   bool
-	chaos       chaos.Config
+	spec      metrics.RunSpec
+	policy    string
+	size      int
+	doTrace   bool
+	chromeOut string
+	perProc   bool
 }
 
+// busiestPages is how many pages the -trace report lists.
+const busiestPages = 10
+
 // runOne simulates one application and returns its rendered report.
-// observe is the supervisor's machine hook (never nil; a no-op without
-// supervision).
-func runOne(app string, o runOpts, observe func(*ace.Machine)) (string, error) {
+// o.spec already carries the supervisor's knobs for this attempt.
+func runOne(app string, o runOpts) (string, error) {
 	var w workloads.Workload
 	var err error
 	if o.size > 0 {
@@ -97,89 +92,41 @@ func runOne(app string, o runOpts, observe func(*ace.Machine)) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	pol, err := policy.Parse(o.polName)
-	if err != nil {
+	spec := o.spec
+	if spec.Policy, err = policy.Parse(o.policy); err != nil {
 		return "", err
-	}
-
-	cfg := ace.DefaultConfig()
-	cfg.NProc = o.nproc
-	cfg.PageSize = o.pageSize
-	cfg.Topology = o.topology
-	machine, err := ace.NewMachine(cfg)
-	if err != nil {
-		return "", err
-	}
-	if o.stallLimit != 0 {
-		machine.Engine().StallLimit = o.stallLimit
-	}
-	kernel := vm.NewKernel(machine, pol)
-	kernel.UnixMaster = o.unixMaster
-	if !o.replication {
-		kernel.NUMA().SetReplication(false)
-	}
-	var collector *trace.Collector
-	if o.doTrace || o.traceOut != "" {
-		collector = trace.New(machine.PageShift(), true)
-		kernel.RefTrace = collector.Hook()
 	}
 	var events *simtrace.ListSink
-	var sink simtrace.Sink
 	if o.chromeOut != "" {
 		events = &simtrace.ListSink{}
-		sink = events
+		spec.TraceSink = events
 	}
-	// Forensics and auditing share a ring of recent events; the Chrome
-	// export keeps receiving everything through a tee.
-	var ring *simtrace.RingSink
-	if o.forensics || o.audit > 0 {
-		ring = simtrace.NewRingSink(256)
-		if sink != nil {
-			sink = simtrace.Tee(sink, ring)
-		} else {
-			sink = ring
+	var machine *ace.Machine
+	var collector *trace.Collector
+	observe := spec.OnMachine
+	spec.OnMachine = func(m *ace.Machine) {
+		machine = m
+		if o.doTrace {
+			collector = trace.New(m.PageShift(), true)
+			m.RefTrace = collector.Record
+		}
+		if observe != nil {
+			observe(m)
 		}
 	}
-	if sink != nil {
-		machine.AttachSink(sink)
-	}
-	if o.chaos.Enabled() {
-		kernel.NUMA().SetChaos(chaos.New(o.chaos))
-	}
-	if o.audit > 0 || ring != nil {
-		kernel.NUMA().EnableAudit(o.audit, ring)
-	}
-	observe(machine)
-	rt := cthreads.New(kernel, o.mode)
-	if o.chaos.HealthEnabled() {
-		if err := metrics.StartHealthDriver(machine, kernel.NUMA(), rt.Scheduler(), o.chaos); err != nil {
-			return "", err
-		}
-	}
-
-	if err := w.Run(rt, o.workers); err != nil {
-		if o.forensics {
-			re := &metrics.RunError{
-				Workload: w.Name(), Policy: pol.Name(), Err: err,
-				Dump: machine.Engine().DumpState().Render(),
-			}
-			if ring != nil {
-				re.Events = ring.Events()
-			}
-			return "", re
-		}
+	res, err := metrics.Run(w, spec)
+	if err != nil {
 		return "", err
 	}
 
 	var b strings.Builder
 	eng := machine.Engine()
-	fmt.Fprintf(&b, "%s on %d CPUs under %s (%s scheduler)\n", w.Name(), o.nproc, pol.Name(), o.mode)
+	fmt.Fprintf(&b, "%s on %d CPUs under %s (%s scheduler)\n", res.Workload, res.NProc, res.Policy, spec.Sched)
 	fmt.Fprintf(&b, "  user time:   %v\n", eng.TotalUserTime())
 	fmt.Fprintf(&b, "  system time: %v\n", eng.TotalSysTime())
-	refs := machine.TotalRefs()
-	fmt.Fprintf(&b, "  references:  %d (%.1f%% local)\n", refs.Total(), 100*refs.LocalFraction())
-	fmt.Fprintf(&b, "  faults:      %d\n", machine.TotalFaults())
-	ns := kernel.NUMA().Stats()
+	fmt.Fprintf(&b, "  references:  %d (%.1f%% local)\n", res.Refs.Total(), 100*res.Refs.LocalFraction())
+	fmt.Fprintf(&b, "  faults:      %d\n", res.Faults)
+	ns := res.NUMA
 	fmt.Fprintf(&b, "  protocol:    %d copies, %d syncs, %d flushes, %d moves, %d pins\n",
 		ns.Copies, ns.Syncs, ns.Flushes, ns.Moves, ns.Pins)
 	var aliasDrops uint64
@@ -187,12 +134,12 @@ func runOne(app string, o runOpts, observe func(*ace.Machine)) (string, error) {
 		aliasDrops += machine.MMU(i).Stats().AliasDrops
 	}
 	fmt.Fprintf(&b, "  mmu:         %d alias drops (Rosetta one-VA-per-frame rule)\n", aliasDrops)
-	vs := kernel.Stats()
+	vs := res.VM
 	fmt.Fprintf(&b, "  paging:      %d zero-fills, %d pageouts, %d pageins, %d COW copies\n",
 		vs.ZeroFillFaults, vs.Pageouts, vs.Pageins, vs.COWCopies)
-	if ls := machine.Topo().LinkStats(); ls != nil {
+	if res.Links != nil {
 		fmt.Fprintf(&b, "  interconnect (%s):\n", machine.Spec().Name())
-		for _, l := range ls {
+		for _, l := range res.Links {
 			fmt.Fprintf(&b, "    %-8s %8d xfers %12d bytes  busy %v  queued %v\n",
 				l.Name, l.Xfers, l.Bytes, l.Service, l.Waited)
 		}
@@ -209,27 +156,14 @@ func runOne(app string, o runOpts, observe func(*ace.Machine)) (string, error) {
 	if collector != nil {
 		fmt.Fprintln(&b)
 		b.WriteString(collector.Summarize().Render())
-		if o.traceOut != "" {
-			f, err := os.Create(o.traceOut)
-			if err != nil {
-				return "", err
-			}
-			if err := collector.Save(f); err != nil {
-				f.Close()
-				return "", err
-			}
-			if err := f.Close(); err != nil {
-				return "", err
-			}
-			fmt.Fprintf(&b, "trace written to %s\n", o.traceOut)
-		}
+		b.WriteString(collector.RenderBusiest(busiestPages))
 	}
 	if events != nil {
 		f, err := os.Create(o.chromeOut)
 		if err != nil {
 			return "", err
 		}
-		meta := simtrace.ChromeMeta{NProc: machine.NProc(), Label: w.Name()}
+		meta := simtrace.ChromeMeta{NProc: machine.NProc(), Label: res.Workload}
 		if err := simtrace.WriteChrome(f, events.Events(), meta); err != nil {
 			f.Close()
 			return "", err
@@ -255,7 +189,7 @@ policy and report timing, placement and reference statistics.
          [-topology ace|4socket|mesh8] [-workers N]
          [-sched affinity|noaffinity] [-pagesize BYTES] [-size N]
          [-unixmaster] [-perproc] [-replication=false] [-parallel N]
-  acesim -trace [-traceout FILE] [-trace-out FILE]      reference/event traces
+  acesim -trace [-trace-out FILE]                       reference/event traces
   acesim -exp NAME [-frames LIST]                       registry experiments (-exp list)
   acesim -chaos-seed N -chaos-fail P -chaos-delay P     seeded fault injection
          -chaos-panic-at D -chaos-stall-at D            crash/stall drills
@@ -283,8 +217,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	topo := fs.String("topology", "", "machine topology: ace (default), "+strings.Join(topology.Names()[1:], ", "))
 	workers := fs.Int("workers", 0, "worker threads (default: one per processor)")
 	schedName := fs.String("sched", "affinity", "scheduler: affinity or noaffinity")
-	doTrace := fs.Bool("trace", false, "collect a reference trace and report sharing classes")
-	traceOut := fs.String("traceout", "", "save the reference trace to this file in traceview's binary format (implies -trace)")
+	doTrace := fs.Bool("trace", false, "collect a reference trace and report sharing classes and the busiest pages")
 	chromeOut := fs.String("trace-out", "", "save the structured event trace to this file as Chrome trace-event JSON (Perfetto)")
 	unixMaster := fs.Bool("unixmaster", false, "funnel system calls to processor 0 (§4.6)")
 	pageSize := fs.Int("pagesize", 4096, "page size in bytes")
@@ -317,8 +250,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// The shared flags (chaos, supervision, -frames) land in harness
 	// options. A single-app run uses them for supervision (timeout,
-	// retries, repro bundles); with none of those flags set,
-	// opts.Supervise runs the simulation directly.
+	// retries, repro bundles) and for its run spec; with none of the
+	// supervision flags set, opts.Supervise runs the simulation directly.
 	opts := harness.Options{
 		NProc: *nproc, Workers: *workers, Topology: *topo, AppSize: *size,
 		Command: "acesim " + strings.Join(args, " "),
@@ -346,38 +279,33 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for i := range apps {
 		apps[i] = strings.TrimSpace(apps[i])
 	}
-	if len(apps) > 1 && *traceOut != "" {
-		fmt.Fprintln(stderr, "acesim: -traceout requires a single -app (the file would be overwritten)")
-		return 1
-	}
 	if len(apps) > 1 && *chromeOut != "" {
 		fmt.Fprintln(stderr, "acesim: -trace-out requires a single -app (the file would be overwritten)")
 		return 1
 	}
 
 	opts.App = *app
+	cfg := ace.DefaultConfig()
+	cfg.NProc = *nproc
+	cfg.PageSize = *pageSize
+	cfg.Topology = *topo
 	o := runOpts{
-		polName:  *polName,
-		topology: *topo,
-		nproc:    *nproc,
-		workers:  *workers,
-		mode:     mode,
-		doTrace:  *doTrace, traceOut: *traceOut, chromeOut: *chromeOut,
-		unixMaster: *unixMaster,
-		pageSize:   *pageSize,
-		size:       *size,
-		perProc:    *perProc, replication: *replication,
-		audit: opts.Audit, stallLimit: opts.StallLimit,
-		forensics: opts.Audit > 0 || opts.Timeout > 0 || opts.Retries > 0 || opts.ReproDir != "",
-		chaos:     opts.Chaos,
+		spec: metrics.RunSpec{
+			Config: cfg, Workers: *workers, Sched: mode,
+			UnixMast: *unixMaster, NoReplication: !*replication, Chaos: opts.Chaos,
+		},
+		policy: *polName, size: *size,
+		doTrace: *doTrace, chromeOut: *chromeOut, perProc: *perProc,
 	}
 
 	// Run every app concurrently (bounded), buffer the reports, and print
 	// them in the order given on the command line.
 	reports := make([]string, len(apps))
 	errs := harness.NewPool(*parallel).RunAll(len(apps), func(i int) error {
-		return opts.Supervise(apps[i], func(observe func(*ace.Machine)) error {
-			rep, err := runOne(apps[i], o, observe)
+		return opts.Supervise(apps[i], func(so harness.Options) error {
+			oo := o
+			oo.spec = so.Spec(o.spec)
+			rep, err := runOne(apps[i], oo)
 			if err != nil {
 				return fmt.Errorf("%s: %w", apps[i], err)
 			}

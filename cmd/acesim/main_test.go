@@ -91,15 +91,42 @@ func TestTraceOutWritesValidChromeJSON(t *testing.T) {
 }
 
 func TestTraceOutRequiresSingleApp(t *testing.T) {
-	for _, flag := range []string{"-traceout", "-trace-out"} {
-		var out, errb strings.Builder
-		code := run([]string{"-app", "FFT,ParMult", flag, filepath.Join(t.TempDir(), "x")}, &out, &errb)
-		if code != 1 {
-			t.Errorf("%s with two apps: exit code = %d, want 1", flag, code)
-		}
-		if !strings.Contains(errb.String(), "single -app") {
-			t.Errorf("%s error should explain the single-app rule, got: %s", flag, errb.String())
-		}
+	var out, errb strings.Builder
+	code := run([]string{"-app", "FFT,ParMult", "-trace-out", filepath.Join(t.TempDir(), "x")}, &out, &errb)
+	if code != 1 {
+		t.Errorf("-trace-out with two apps: exit code = %d, want 1", code)
+	}
+	if !strings.Contains(errb.String(), "single -app") {
+		t.Errorf("-trace-out error should explain the single-app rule, got: %s", errb.String())
+	}
+}
+
+// TestReportGoldens compares whole reports byte for byte: per-processor
+// counts over two apps, the per-link lines of a mesh, and the reference
+// trace's summary and busiest-pages table.
+func TestReportGoldens(t *testing.T) {
+	for _, c := range []struct {
+		golden string
+		args   []string
+	}{
+		{"gfetch-imatmult-perproc", []string{"-app", "Gfetch,IMatMult", "-size", "12", "-nproc", "3", "-perproc"}},
+		{"fft-mesh8", []string{"-app", "FFT", "-size", "16", "-nproc", "4", "-topology", "mesh8"}},
+		{"primes2-untuned-trace", []string{"-app", "Primes2-untuned", "-trace"}},
+	} {
+		t.Run(c.golden, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", c.golden+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out, errb strings.Builder
+			if code := run(c.args, &out, &errb); code != 0 {
+				t.Fatalf("exit code = %d, want 0; stderr: %s", code, errb.String())
+			}
+			if got := out.String(); got != string(want) {
+				t.Errorf("acesim %s differs from testdata/%s.golden:\ngot:\n%s\nwant:\n%s",
+					strings.Join(c.args, " "), c.golden, got, want)
+			}
+		})
 	}
 }
 

@@ -1,13 +1,9 @@
-// Command traceview analyses the traces acesim writes, auto-detecting the
-// format:
-//
-//   - a binary reference trace from `acesim -traceout FILE` (per-page
-//     read/write sharing): overall sharing classes, the busiest pages, and
-//     the falsely-shared pages that application tuning (§4.2) could fix;
-//   - a Chrome trace-event JSON file from `acesim -trace-out FILE` (the
-//     structured simtrace event stream): event counts by phase and name,
-//     per-track busy time, and the pages with the most consistency-state
-//     changes. The same file loads graphically at ui.perfetto.dev.
+// Command traceview analyses the Chrome trace-event JSON file that
+// `acesim -trace-out FILE` writes (the structured simtrace event
+// stream): event counts by phase and name, per-track busy time, and the
+// pages with the most consistency-state changes. The same file loads
+// graphically at ui.perfetto.dev. The per-page reference trace (sharing
+// classes, false sharing) is reported by `acesim -trace` itself.
 //
 // Usage:
 //
@@ -15,15 +11,12 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"sort"
-
-	"numasim/internal/trace"
 )
 
 // run is the testable entry point: it parses args (without the program
@@ -31,14 +24,13 @@ import (
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("traceview", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	top := fs.Int("top", 10, "number of busiest pages to list")
+	top := fs.Int("top", 10, "number of event names and pages to list")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if fs.NArg() != 1 {
 		fmt.Fprintln(stderr, "usage: traceview [-top N] FILE")
-		fmt.Fprintln(stderr, "  FILE is a binary reference trace (acesim -traceout)")
-		fmt.Fprintln(stderr, "  or a Chrome trace-event JSON file (acesim -trace-out)")
+		fmt.Fprintln(stderr, "  FILE is a Chrome trace-event JSON file (acesim -trace-out)")
 		return 2
 	}
 	f, err := os.Open(fs.Arg(0))
@@ -47,51 +39,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	defer f.Close()
-
-	br := bufio.NewReader(f)
-	magic, err := br.Peek(1)
-	if err != nil {
-		fmt.Fprintln(stderr, "traceview:", err)
-		return 1
-	}
-	if magic[0] == '{' || magic[0] == '[' {
-		err = viewChrome(br, stdout, *top)
-	} else {
-		err = viewRefTrace(br, stdout, *top)
-	}
-	if err != nil {
+	if err := viewChrome(f, stdout, *top); err != nil {
 		fmt.Fprintln(stderr, "traceview:", err)
 		return 1
 	}
 	return 0
-}
-
-// viewRefTrace reports on a binary reference trace (acesim -traceout).
-func viewRefTrace(r io.Reader, stdout io.Writer, top int) error {
-	c, err := trace.Load(r)
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(stdout, c.Summarize().Render())
-	pages := c.Pages()
-	sort.Slice(pages, func(i, j int) bool {
-		return pages[i].Reads+pages[i].Writes > pages[j].Reads+pages[j].Writes
-	})
-	if len(pages) > top {
-		pages = pages[:top]
-	}
-	fmt.Fprintf(stdout, "\nbusiest %d pages:\n", len(pages))
-	fmt.Fprintf(stdout, "  %-10s %-16s %7s %7s %9s %9s %s\n",
-		"page", "class", "readers", "writers", "reads", "writes", "")
-	for _, p := range pages {
-		note := ""
-		if p.FalselyShared {
-			note = "FALSELY SHARED — consider padding/segregating (§4.2)"
-		}
-		fmt.Fprintf(stdout, "  %#-10x %-16s %7d %7d %9d %9d %s\n",
-			uint64(p.VPN)<<c.PageShift(), p.Class, p.Readers, p.Writers, p.Reads, p.Writes, note)
-	}
-	return nil
 }
 
 // chromeEvent is the subset of the trace-event schema the report uses.

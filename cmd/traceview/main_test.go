@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"numasim/internal/simtrace"
-	"numasim/internal/trace"
 )
 
 func TestUsageExitsTwo(t *testing.T) {
@@ -31,29 +30,6 @@ func TestMissingFileExitsOne(t *testing.T) {
 	}
 	if !strings.Contains(errb.String(), "traceview:") {
 		t.Errorf("stderr should carry the error, got: %s", errb.String())
-	}
-}
-
-func TestViewsBinaryReferenceTrace(t *testing.T) {
-	// An empty collector still produces a well-formed NSTR file.
-	path := filepath.Join(t.TempDir(), "ref.trace")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := trace.New(12, true).Save(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	var out, errb strings.Builder
-	if code := run([]string{path}, &out, &errb); code != 0 {
-		t.Fatalf("exit code = %d, want 0; stderr: %s", code, errb.String())
-	}
-	if !strings.Contains(out.String(), "reference trace") || !strings.Contains(out.String(), "busiest") {
-		t.Errorf("reference-trace report unexpected:\n%s", out.String())
 	}
 }
 

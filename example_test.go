@@ -99,7 +99,7 @@ func ExampleTraceCollector() {
 		panic(err)
 	}
 	collector := numasim.NewTraceCollector(sys.Machine.PageShift(), true)
-	sys.Kernel.RefTrace = collector.Hook()
+	sys.Machine.RefTrace = collector.Record
 
 	va := sys.Runtime.Alloc("data", 4096)
 	err = sys.Runtime.Run(2, func(id int, c *numasim.Context) {

@@ -26,7 +26,7 @@ func run(padded bool) {
 	}
 
 	collector := numasim.NewTraceCollector(sys.Machine.PageShift(), true)
-	sys.Kernel.RefTrace = collector.Hook()
+	sys.Machine.RefTrace = collector.Record
 
 	region := sys.Runtime.Alloc("counters", 2*4096)
 	addr := []uint32{region, region + 4} // same page

@@ -338,6 +338,11 @@ type Machine struct {
 	memory *mem.Memory
 	mmus   []*mmu.MMU
 	bus    *simtrace.Bus
+
+	// RefTrace, when non-nil, observes every user-level memory reference
+	// (the trace facility of §5). It adds one predicate test per access
+	// when unset.
+	RefTrace func(proc int, va uint32, write bool)
 }
 
 // NewMachine builds a machine from cfg, reporting invalid configuration

@@ -129,7 +129,7 @@ func AvailabilitySweep(opts Options, apps []string) ([]AvailRow, error) {
 	errs := opts.pool().RunAll(len(rows), func(i int) error {
 		app, sc := apps[i/len(schedules)], schedules[i%len(schedules)]
 		label := fmt.Sprintf("avail-%s-%s", app, sc.name)
-		return opts.supervise(label, func(o Options) error {
+		return opts.Supervise(label, func(o Options) error {
 			pol, err := o.policyOr(func() numa.Policy { return policy.NewDefault() })
 			if err != nil {
 				return err

@@ -211,40 +211,35 @@ func (o Options) forensics() bool {
 // failed runs.
 func (o Options) keepGoing() bool { return o.KeepGoing || o.ReproDir != "" }
 
-// runInstance builds the named workload and runs it once under the spec,
-// filling in the options' robustness knobs (audit stride, stall limit,
-// forensics, the supervisor's machine hook). All of those are zero for
-// default options, so unsupervised runs are bit-for-bit unchanged.
+// Spec completes spec with the options' robustness knobs: the audit
+// stride, the stall limit, forensics and the supervisor's machine hook.
+// All of those are zero for default options, so unsupervised runs are
+// bit-for-bit unchanged.
+func (o Options) Spec(spec metrics.RunSpec) metrics.RunSpec {
+	spec.Audit = o.Audit
+	spec.StallLimit = o.StallLimit
+	spec.Forensics = o.forensics()
+	spec.OnMachine = o.onMachine
+	return spec
+}
+
+// runInstance builds the named workload and runs it once under the
+// spec, completed by Spec.
 func (o Options) runInstance(name string, spec metrics.RunSpec) (metrics.RunResult, error) {
 	w, err := o.instance(name)
 	if err != nil {
 		return metrics.RunResult{}, err
 	}
-	spec.Audit = o.Audit
-	spec.StallLimit = o.StallLimit
-	spec.Forensics = o.forensics()
-	spec.OnMachine = o.onMachine
-	return metrics.Run(w, spec)
+	return metrics.Run(w, o.Spec(spec))
 }
 
-// Supervise wraps one caller-managed run (for example acesim's
-// single-application path) in the options' supervisor: panic recovery,
-// wall-clock timeout, bounded retry, repro bundles on failure. fn must
-// call observe with every machine it builds so the timeout watchdog can
-// stop the engines; with no supervision configured fn runs directly and
-// observe is a no-op.
-func (o Options) Supervise(label string, fn func(observe func(*ace.Machine)) error) error {
-	sup := o.supervisor()
-	if sup == nil {
-		return fn(func(*ace.Machine) {})
-	}
-	return sup.Do(label, fn)
-}
-
-// supervise runs one experiment unit under the options' supervisor —
-// panic recovery, wall-clock timeout, bounded retry, repro bundles — or
-// directly when no supervision is configured.
-func (o Options) supervise(label string, fn func(Options) error) error {
+// Supervise runs one unit of work — an experiment row, or one of
+// acesim's single-application runs — under the options' supervisor:
+// panic recovery, wall-clock timeout, bounded retry, repro bundles on
+// failure. fn receives the options to run with; the runs it makes
+// through Spec report their machines to the timeout watchdog. With no
+// supervision configured fn runs directly on o.
+func (o Options) Supervise(label string, fn func(Options) error) error {
 	sup := o.supervisor()
 	if sup == nil {
 		return fn(o)
@@ -255,10 +250,6 @@ func (o Options) supervise(label string, fn func(Options) error) error {
 		return fn(oo)
 	})
 }
-
-// newMachineFor builds a machine for the config (thin indirection so the
-// mix experiment reads naturally).
-func newMachineFor(cfg ace.Config) (*ace.Machine, error) { return ace.NewMachine(cfg) }
 
 // fmtF renders a float with sensible precision for the tables. It is
 // generic over named float64 types (sim.Ticks and plain float64 render

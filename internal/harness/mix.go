@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"numasim/internal/ace"
 	"numasim/internal/cthreads"
 	"numasim/internal/policy"
 	"numasim/internal/sched"
@@ -32,7 +33,7 @@ type MixResult struct {
 func MixRun(opts Options, apps []string) (MixResult, error) {
 	opts = opts.withDefaults()
 	cfg := opts.config()
-	machine, err := newMachineFor(cfg)
+	machine, err := ace.NewMachine(cfg)
 	if err != nil {
 		return MixResult{}, err
 	}

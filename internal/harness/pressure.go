@@ -77,7 +77,7 @@ func PressureSweepAll(opts Options, apps []string, frames []int) ([]PressureRow,
 	errs := opts.pool().RunAll(len(rows), func(i int) error {
 		app, budget := apps[i/len(points)], points[i%len(points)]
 		label := fmt.Sprintf("pressure-%s-%s", app, pressureParam(budget))
-		return opts.supervise(label, func(o Options) error {
+		return opts.Supervise(label, func(o Options) error {
 			cfg := o.config()
 			if budget > 0 {
 				cfg.LocalFrames = budget

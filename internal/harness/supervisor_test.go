@@ -19,7 +19,7 @@ import (
 // drill runs one Gfetch simulation under the options' supervisor, the
 // same path every table row takes.
 func drill(o Options) error {
-	return o.supervise("drill-Gfetch", func(o Options) error {
+	return o.Supervise("drill-Gfetch", func(o Options) error {
 		_, err := o.runInstance("Gfetch", metrics.RunSpec{
 			Config: o.config(), Policy: policy.NewDefault(), Workers: o.Workers, Sched: sched.Affinity,
 			Chaos: o.Chaos,
@@ -127,7 +127,7 @@ func TestReproBundleDeterminism(t *testing.T) {
 // into an error carrying the goroutine stack.
 func TestSupervisorRecoversHostPanic(t *testing.T) {
 	opts := Options{Retries: 0, Timeout: time.Minute}.withDefaults()
-	err := opts.supervise("host-panic", func(Options) error {
+	err := opts.Supervise("host-panic", func(Options) error {
 		panic("harness bug")
 	})
 	if err == nil || !strings.Contains(err.Error(), "host-panic panicked: harness bug") {

@@ -184,7 +184,7 @@ func Table3(opts Options) ([]Table3Row, error) {
 	opts = opts.withDefaults()
 	rows := make([]Table3Row, len(Table3Apps))
 	errs := opts.pool().RunAll(len(Table3Apps), func(i int) error {
-		return opts.supervise("table3-"+Table3Apps[i], func(o Options) error {
+		return opts.Supervise("table3-"+Table3Apps[i], func(o Options) error {
 			row, err := Table3Single(o, Table3Apps[i])
 			if err != nil {
 				return err
@@ -320,7 +320,7 @@ func Table4(opts Options) ([]Table4Row, error) {
 	opts = opts.withDefaults()
 	rows := make([]Table4Row, len(Table4Apps))
 	errs := opts.pool().RunAll(len(Table4Apps), func(i int) error {
-		return opts.supervise("table4-"+Table4Apps[i], func(o Options) error {
+		return opts.Supervise("table4-"+Table4Apps[i], func(o Options) error {
 			row, err := Table4Single(o, Table4Apps[i])
 			if err != nil {
 				return err

@@ -100,7 +100,7 @@ func tournamentGrid(opts Options, topos, works, pols []string) (TournamentResult
 	results := make([]metrics.RunResult, len(cells))
 	err := opts.pool().Run(len(cells), func(i int) error {
 		c := cells[i]
-		return opts.supervise(fmt.Sprintf("tournament/%s/%s/%s", c.topo, c.workload, c.spec),
+		return opts.Supervise(fmt.Sprintf("tournament/%s/%s/%s", c.topo, c.workload, c.spec),
 			func(opts Options) error {
 				pol, err := policy.Parse(c.spec)
 				if err != nil {

@@ -33,18 +33,15 @@ type healthEvent struct {
 	link int
 }
 
-// StartHealthDriver validates cfg's failure schedule against the
-// machine's topology and spawns the driver thread that replays it. A
-// schedule that would leave no node online at any instant of the replay
-// describes a machine that cannot run, and is an error. A nil error
-// with no schedule means nothing was spawned. Call after the scheduler
-// exists and before the workload runs.
-func StartHealthDriver(machine *ace.Machine, mgr *numa.Manager, sch *sched.Scheduler, cfg chaos.Config) error {
+// startHealthDriver checks cfg's failure schedule, already validated on
+// its own, against the machine's topology and spawns the driver thread
+// that replays it. A schedule that would leave no node online at any
+// instant of the replay describes a machine that cannot run, and is an
+// error. A nil error with no schedule means nothing was spawned. Build
+// calls it after the scheduler exists and before the workload runs.
+func startHealthDriver(machine *ace.Machine, mgr *numa.Manager, sch *sched.Scheduler, cfg chaos.Config) error {
 	if !cfg.HealthEnabled() {
 		return nil
-	}
-	if err := cfg.ValidateHealth(); err != nil {
-		return err
 	}
 	spec := machine.Spec()
 	events := cfg.SortedHealth()

@@ -117,16 +117,36 @@ type RunResult struct {
 	// Links holds per-interconnect-link contention counters for topologies
 	// with a bandwidth model; nil on uncontended machines (the ACE).
 	Links []topology.LinkStats
-	// Sched holds the scheduler's counters: spawns, the co-placement
-	// channel's hint traffic, and per-node thread homes.
+	// Sched holds the scheduler's counters: spawns, quantum-boundary
+	// migrations and failovers, and per-node thread homes.
 	Sched sched.Stats
 }
 
-// Run executes one workload on a freshly built machine per spec.
-func Run(w Runner, spec RunSpec) (RunResult, error) {
+// System is one assembled run: a machine, the kernel on it and a
+// C-Threads runtime, wired per a RunSpec.
+type System struct {
+	Machine *ace.Machine
+	Kernel  *vm.Kernel
+	Runtime *cthreads.Runtime
+	// ring is the forensic ring buffer, non-nil when forensics or
+	// auditing is on.
+	ring *simtrace.RingSink
+}
+
+// Build assembles the system spec describes, in a fixed order: the
+// machine, its trace sink (teed with a forensic ring when forensics or
+// auditing is on), the stall limit, the kernel, the auditor, fault
+// injection, the OnMachine hook, the runtime and the health driver. An
+// invalid machine or chaos configuration is an error, as is a failure
+// schedule the machine cannot run. spec.Workers is not used: the
+// workload's run takes it.
+func Build(spec RunSpec) (*System, error) {
+	if err := spec.Chaos.Validate(); err != nil {
+		return nil, err
+	}
 	machine, err := ace.NewMachine(spec.Config)
 	if err != nil {
-		return RunResult{}, fmt.Errorf("metrics: %s: %w", w.Name(), err)
+		return nil, err
 	}
 	// Forensics and auditing share one per-run ring buffer; a shared
 	// TraceSink keeps receiving everything through a tee.
@@ -161,20 +181,28 @@ func Run(w Runner, spec RunSpec) (RunResult, error) {
 		spec.OnMachine(machine)
 	}
 	rt := cthreads.New(kernel, spec.Sched)
-	if spec.Chaos.HealthEnabled() {
-		if err := StartHealthDriver(machine, kernel.NUMA(), rt.Scheduler(), spec.Chaos); err != nil {
-			return RunResult{}, fmt.Errorf("metrics: %s: %w", w.Name(), err)
-		}
+	if err := startHealthDriver(machine, kernel.NUMA(), rt.Scheduler(), spec.Chaos); err != nil {
+		return nil, err
 	}
-	if err := w.Run(rt, spec.Workers); err != nil {
+	return &System{Machine: machine, Kernel: kernel, Runtime: rt, ring: ring}, nil
+}
+
+// Run executes one workload on a freshly built machine per spec.
+func Run(w Runner, spec RunSpec) (RunResult, error) {
+	sys, err := Build(spec)
+	if err != nil {
+		return RunResult{}, fmt.Errorf("metrics: %s: %w", w.Name(), err)
+	}
+	machine, kernel := sys.Machine, sys.Kernel
+	if err := w.Run(sys.Runtime, spec.Workers); err != nil {
 		err = fmt.Errorf("metrics: %s under %s: %w", w.Name(), spec.Policy.Name(), err)
 		if spec.Forensics {
 			re := &RunError{
 				Workload: w.Name(), Policy: spec.Policy.Name(), Err: err,
 				Dump: machine.Engine().DumpState().Render(),
 			}
-			if ring != nil {
-				re.Events = ring.Events()
+			if sys.ring != nil {
+				re.Events = sys.ring.Events()
 			}
 			return RunResult{}, re
 		}
@@ -197,7 +225,7 @@ func Run(w Runner, spec RunSpec) (RunResult, error) {
 		Faults:    machine.TotalFaults(),
 		MMUEnters: enters,
 		Links:     machine.Topo().LinkStats(),
-		Sched:     rt.Scheduler().Stats(),
+		Sched:     sys.Runtime.Scheduler().Stats(),
 	}, nil
 }
 

@@ -2,9 +2,11 @@ package metrics_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"numasim/internal/ace"
+	"numasim/internal/chaos"
 	"numasim/internal/metrics"
 	"numasim/internal/policy"
 	"numasim/internal/sched"
@@ -119,6 +121,20 @@ func TestRunPropagatesWorkloadErrors(t *testing.T) {
 	})
 	if err == nil {
 		t.Error("want error from invalid config")
+	}
+}
+
+// TestRunRejectsBadChaos: an out-of-range chaos config is an error from
+// Run, not a panic while the machine is built.
+func TestRunRejectsBadChaos(t *testing.T) {
+	cfg := ace.DefaultConfig()
+	cfg.NProc = 1
+	_, err := metrics.Run(workloads.NewParMult(2, 2), metrics.RunSpec{
+		Config: cfg, Policy: policy.NewDefault(), Workers: 1, Sched: sched.Affinity,
+		Chaos: chaos.Config{FailProb: 2},
+	})
+	if err == nil || !strings.Contains(err.Error(), "FailProb") {
+		t.Errorf("err = %v, want the FailProb range error", err)
 	}
 }
 

@@ -97,8 +97,8 @@ type PageReport struct {
 	FalselyShared bool
 }
 
-// Collector accumulates a reference trace. Install its Hook as the
-// kernel's RefTrace. Word-granularity tracking (needed for false-sharing
+// Collector accumulates a reference trace. Install its Record method as
+// the machine's RefTrace. Word-granularity tracking (needed for false-sharing
 // detection) costs memory proportional to the number of distinct words
 // touched and can be disabled.
 type Collector struct {
@@ -119,12 +119,7 @@ func New(pageShift uint, trackWords bool) *Collector {
 	}
 }
 
-// Hook returns the function to install as vm.Kernel.RefTrace.
-func (c *Collector) Hook() func(proc int, va uint32, write bool) {
-	return c.Record
-}
-
-// Record notes one reference.
+// Record notes one reference. Install it as the machine's RefTrace.
 func (c *Collector) Record(proc int, va uint32, write bool) {
 	vpn := va >> c.shift
 	u := c.pages[vpn]
@@ -231,6 +226,32 @@ func (s Summary) Render() string {
 	if s.WritablyShared > 0 {
 		fmt.Fprintf(&b, "  falsely shared:  %d of %d writably-shared pages (%.0f%%)\n",
 			s.FalselyShared, s.WritablyShared, s.FalseSharePct)
+	}
+	return b.String()
+}
+
+// RenderBusiest renders the top pages by reference count as a table,
+// flagging the falsely shared ones that application tuning (§4.2) could
+// fix.
+func (c *Collector) RenderBusiest(top int) string {
+	pages := c.Pages()
+	sort.Slice(pages, func(i, j int) bool {
+		return pages[i].Reads+pages[i].Writes > pages[j].Reads+pages[j].Writes
+	})
+	if len(pages) > top {
+		pages = pages[:top]
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "\nbusiest %d pages:\n", len(pages))
+	fmt.Fprintf(&b, "  %-10s %-16s %7s %7s %9s %9s %s\n",
+		"page", "class", "readers", "writers", "reads", "writes", "")
+	for _, p := range pages {
+		note := ""
+		if p.FalselyShared {
+			note = "FALSELY SHARED — consider padding/segregating (§4.2)"
+		}
+		fmt.Fprintf(&b, "  %#-10x %-16s %7d %7d %9d %9d %s\n",
+			uint64(p.VPN)<<c.shift, p.Class, p.Readers, p.Writers, p.Reads, p.Writes, note)
 	}
 	return b.String()
 }

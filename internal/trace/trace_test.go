@@ -131,3 +131,29 @@ func TestCounts(t *testing.T) {
 		t.Errorf("report = %+v", p)
 	}
 }
+
+func TestRenderBusiest(t *testing.T) {
+	c := New(12, true)
+	// Page 0x1000 is the busiest and falsely shared: each cpu writes its
+	// own word. Page 0x2000 is private and less busy; page 0x3000 is
+	// touched once and falls below the cut.
+	for i := 0; i < 3; i++ {
+		c.Record(0, 0x1000, true)
+		c.Record(1, 0x1004, true)
+	}
+	c.Record(2, 0x2000, false)
+	c.Record(2, 0x2000, true)
+	c.Record(3, 0x3000, false)
+
+	got := c.RenderBusiest(2)
+	lines := strings.Split(strings.TrimSuffix(got, "\n"), "\n")
+	if len(lines) != 5 || lines[0] != "" || lines[1] != "busiest 2 pages:" {
+		t.Fatalf("want a blank line, a title, a header and 2 rows:\n%s", got)
+	}
+	if !strings.HasPrefix(lines[3], "  0x1000 ") || !strings.Contains(lines[3], "FALSELY SHARED") {
+		t.Errorf("first row should be the falsely shared page 0x1000: %q", lines[3])
+	}
+	if !strings.HasPrefix(lines[4], "  0x2000 ") || strings.Contains(lines[4], "FALSELY") {
+		t.Errorf("second row should be the private page 0x2000: %q", lines[4])
+	}
+}

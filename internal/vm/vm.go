@@ -176,11 +176,6 @@ type Kernel struct {
 	// UnixMaster, when true, models the Mach Unix compatibility code that
 	// funnels system calls onto processor 0 (§4.6).
 	UnixMaster bool
-
-	// RefTrace, when non-nil, observes every user-level memory reference
-	// (the trace facility of §5). It adds one predicate test per access
-	// when unset.
-	RefTrace func(proc int, va uint32, write bool)
 }
 
 type fifoRef struct {
@@ -829,9 +824,9 @@ func (c *Context) refFetch(va uint32) *mem.Frame {
 	if f == nil {
 		f = c.translateSlow(va, false)
 	}
-	if c.kernel.RefTrace != nil {
+	if c.mach.RefTrace != nil {
 		//numalint:coldpath instrumentation: the reference-trace hook is nil outside trace captures
-		c.kernel.RefTrace(c.proc, va, false)
+		c.mach.RefTrace(c.proc, va, false)
 	}
 	c.mach.ChargeFetch(c.th, c.proc, f)
 	return f
@@ -843,9 +838,9 @@ func (c *Context) refStore(va uint32) *mem.Frame {
 	if f == nil {
 		f = c.translateSlow(va, true)
 	}
-	if c.kernel.RefTrace != nil {
+	if c.mach.RefTrace != nil {
 		//numalint:coldpath instrumentation: the reference-trace hook is nil outside trace captures
-		c.kernel.RefTrace(c.proc, va, true)
+		c.mach.RefTrace(c.proc, va, true)
 	}
 	c.mach.ChargeStore(c.th, c.proc, f)
 	return f
@@ -896,9 +891,9 @@ func (c *Context) Store8(va uint32, v byte) {
 func (c *Context) Load64(va uint32) uint64 {
 	c.checkSpan(va, 8)
 	f := c.refFetch(va)
-	if c.kernel.RefTrace != nil {
+	if c.mach.RefTrace != nil {
 		//numalint:coldpath instrumentation: the reference-trace hook is nil outside trace captures
-		c.kernel.RefTrace(c.proc, va+4, false)
+		c.mach.RefTrace(c.proc, va+4, false)
 	}
 	c.mach.ChargeFetch(c.th, c.proc, f)
 	v := f.Load64(int(va & c.pageMask))
@@ -912,9 +907,9 @@ func (c *Context) Load64(va uint32) uint64 {
 func (c *Context) Store64(va uint32, v uint64) {
 	c.checkSpan(va, 8)
 	f := c.refStore(va)
-	if c.kernel.RefTrace != nil {
+	if c.mach.RefTrace != nil {
 		//numalint:coldpath instrumentation: the reference-trace hook is nil outside trace captures
-		c.kernel.RefTrace(c.proc, va+4, true)
+		c.mach.RefTrace(c.proc, va+4, true)
 	}
 	c.mach.ChargeStore(c.th, c.proc, f)
 	f.Store64(int(va&c.pageMask), v)
@@ -949,9 +944,9 @@ func (c *Context) checkSpan(va uint32, n int) {
 //numalint:hotpath
 func (c *Context) TestAndSet(va uint32) uint32 {
 	f := c.translate(va, true)
-	if c.kernel.RefTrace != nil {
+	if c.mach.RefTrace != nil {
 		//numalint:coldpath instrumentation: the reference-trace hook is nil outside trace captures
-		c.kernel.RefTrace(c.proc, va, true)
+		c.mach.RefTrace(c.proc, va, true)
 	}
 	m := c.mach
 	m.ChargeFetch(c.th, c.proc, f)
@@ -970,9 +965,9 @@ func (c *Context) TestAndSet(va uint32) uint32 {
 //numalint:hotpath
 func (c *Context) FetchOr32(va uint32, bits uint32) uint32 {
 	f := c.translate(va, true)
-	if c.kernel.RefTrace != nil {
+	if c.mach.RefTrace != nil {
 		//numalint:coldpath instrumentation: the reference-trace hook is nil outside trace captures
-		c.kernel.RefTrace(c.proc, va, true)
+		c.mach.RefTrace(c.proc, va, true)
 	}
 	m := c.mach
 	m.ChargeFetch(c.th, c.proc, f)

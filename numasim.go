@@ -215,11 +215,7 @@ func NewContext(k *Kernel, t *Task, th *SimThread, proc int) *Context {
 type SimThread = sim.Thread
 
 // System bundles a machine, kernel and runtime — the usual way to start.
-type System struct {
-	Machine *Machine
-	Kernel  *Kernel
-	Runtime *Runtime
-}
+type System = metrics.System
 
 // Policies.
 
@@ -283,7 +279,7 @@ func EvaluateByName(ev *Evaluator, name string) (Eval, error) {
 }
 
 // NewTraceCollector creates a reference-trace collector for the given page
-// shift; install its Hook as Kernel.RefTrace.
+// shift; install its Record method as Machine.RefTrace.
 func NewTraceCollector(pageShift uint, trackWords bool) *TraceCollector {
 	return trace.New(pageShift, trackWords)
 }

@@ -26,7 +26,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	sys := newSystem(t, cfg, numasim.DefaultPolicy())
 
 	collector := numasim.NewTraceCollector(sys.Machine.PageShift(), true)
-	sys.Kernel.RefTrace = collector.Hook()
+	sys.Machine.RefTrace = collector.Record
 
 	shared := sys.Runtime.Alloc("shared", 4096)
 	lock := sys.Runtime.NewSpinLock()

@@ -6,6 +6,9 @@ import (
 	"testing"
 
 	"numasim"
+	"numasim/internal/chaos"
+	"numasim/internal/simtrace"
+	"numasim/internal/workloads"
 )
 
 // TestFacadeSurface exercises the remaining public facade entry points the
@@ -87,6 +90,38 @@ func TestFacadeNewValidates(t *testing.T) {
 	}
 	if _, err := numasim.New(numasim.WithChaos(numasim.ChaosConfig{FailProb: 2})); err == nil {
 		t.Error("out-of-range chaos probability accepted")
+	}
+}
+
+// TestFacadeNewReplaysFailureSchedule: a failure schedule given to New
+// through WithChaos is replayed when the system runs, as it is in the
+// harness's runs.
+func TestFacadeNewReplaysFailureSchedule(t *testing.T) {
+	events, err := chaos.ParseHealthSchedule("1@1ms", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := numasim.DefaultConfig()
+	cfg.NProc = 4
+	cfg.Topology = "4socket"
+	var sink simtrace.CountingSink
+	sys, err := numasim.New(
+		numasim.WithConfig(cfg),
+		numasim.WithChaos(numasim.ChaosConfig{Health: events}),
+		numasim.WithTraceSink(&sink),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := workloads.NewSized("Gfetch", 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Run(sys.Runtime, 4); err != nil {
+		t.Fatal(err)
+	}
+	if n := sink.Count(simtrace.KindNodeOffline); n != 1 {
+		t.Errorf("%d node-offline events, want 1", n)
 	}
 }
 
