@@ -24,6 +24,9 @@
 #                   set and fail if any benchmark regressed more than
 #                   BENCHDIFF_TOL (default 20%) against the committed
 #                   BENCH_baseline.json
+#   make layers   - the per-layer host-CPU table: run the benchmark's
+#                   traced table3 workload and print its host.*_frac lines
+#                   (the share of host CPU samples in each layer)
 #   make tables   - regenerate the paper's tables and figures
 #   make pressure - smoke-run the memory-pressure sweep with seeded fault
 #                   injection (small sizes; exercises reclaim, fallback
@@ -58,7 +61,7 @@ BENCH_CI_FILTER := 'LocalAccess$$|PageMigration$$|FaultPath$$|PickManyThreads|Tr
 BENCH_CI_TIME := 300ms
 BENCHDIFF_TOL ?= 0.20
 
-.PHONY: check build vet lint numalint test bench bench-json bench-ci tables pressure audit topo tournament avail
+.PHONY: check build vet lint numalint test bench bench-json bench-ci layers tables pressure audit topo tournament avail
 
 check: build vet lint test audit pressure topo tournament avail
 
@@ -98,6 +101,11 @@ bench-ci:
 	$(GO) test -bench $(BENCH_CI_FILTER) -benchtime $(BENCH_CI_TIME) -benchmem -run '^$$' . \
 		| $(GO) run ./cmd/benchjson -o /tmp/bench_ci.json
 	$(GO) run ./cmd/benchdiff -tolerance $(BENCHDIFF_TOL) BENCH_baseline.json /tmp/bench_ci.json
+
+# layers quotes where host CPU goes, layer by layer, on the run users wait
+# for (full Table 3 on the ACE). A perf change quotes it before and after.
+layers:
+	bash numabench/run.sh --workload table3 --seed 1 --seconds 30 --trace 1 | grep '^metric host\..*_frac'
 
 tables:
 	$(GO) run ./cmd/tables

@@ -307,11 +307,33 @@ func (r *RefStats) Add(other RefStats) {
 	r.RemoteStore += other.RemoteStore
 }
 
+// refClass classifies a reference by where its frame lives relative to
+// the issuing processor: its home node, another node, or the interleaved
+// global memory.
+type refClass uint8
+
+const (
+	refLocal refClass = iota
+	refRemote
+	refGlobal
+)
+
 // Processor is one ACE processor module.
 type Processor struct {
-	id   int
-	res  *sim.Resource
-	refs RefStats
+	id  int
+	res *sim.Resource
+
+	// Per-reference tables, indexed by latency-matrix column (a node, or
+	// the interleave column for global memory) and fixed once the machine
+	// exists: the processor's rows of the spec's fetch and store latency
+	// matrices (the spec's own storage, not copies) and its row of the
+	// machine's reference-class table.
+	fetchLat, storeLat []sim.Time
+	class              []refClass
+
+	// Reference counters, indexed by refClass.
+	fetches, stores [3]uint64
+
 	// Faults counts page faults taken on this processor.
 	Faults uint64
 }
@@ -325,7 +347,16 @@ func (p *Processor) ID() int { return p.id }
 func (p *Processor) Resource() *sim.Resource { return p.res }
 
 // Refs returns the processor's reference counters.
-func (p *Processor) Refs() RefStats { return p.refs }
+func (p *Processor) Refs() RefStats {
+	return RefStats{
+		LocalFetch:  p.fetches[refLocal],
+		LocalStore:  p.stores[refLocal],
+		GlobalFetch: p.fetches[refGlobal],
+		GlobalStore: p.stores[refGlobal],
+		RemoteFetch: p.fetches[refRemote],
+		RemoteStore: p.stores[refRemote],
+	}
+}
 
 // Machine is an assembled machine: engine, processors, memories and MMUs,
 // shaped by a topology spec (the ACE by default).
@@ -371,8 +402,29 @@ func NewMachine(cfg Config) (*Machine, error) {
 	m.engine.Bus = m.bus
 	m.procs = make([]*Processor, cfg.NProc)
 	m.mmus = make([]*mmu.MMU, cfg.NProc)
+	// One reference-class table for the machine: row i classifies every
+	// column for processor i.
+	w := spec.NNodes() + 1
+	classes := make([]refClass, cfg.NProc*w)
 	for i := 0; i < cfg.NProc; i++ {
-		m.procs[i] = &Processor{id: i, res: &sim.Resource{Name: fmt.Sprintf("cpu%d", i), ID: i}}
+		class := classes[i*w : (i+1)*w : (i+1)*w]
+		for col := range class {
+			switch col {
+			case spec.NNodes():
+				class[col] = refGlobal
+			case spec.Home(i):
+				class[col] = refLocal
+			default:
+				class[col] = refRemote
+			}
+		}
+		m.procs[i] = &Processor{
+			id:       i,
+			res:      &sim.Resource{Name: fmt.Sprintf("cpu%d", i), ID: i},
+			fetchLat: spec.FetchRow(i),
+			storeLat: spec.StoreRow(i),
+			class:    class,
+		}
 		m.mmus[i] = mmu.New(i)
 	}
 	return m, nil
@@ -484,43 +536,33 @@ func (m *Machine) VPN(va uint32) uint32 { return va >> m.PageShift() }
 func (m *Machine) PageOff(va uint32) int { return int(va) & (m.cfg.PageSize - 1) }
 
 // ChargeFetch charges th for a 32-bit fetch from frame f by processor proc
-// and counts it. On contended topologies the fetch also pays any queueing
-// delay on the interconnect route to f's node.
+// and counts it. The latency and the counter come from proc's
+// per-column tables, so the charge is the bound CostModel.FetchCost and
+// the count follows the frame's kind and home. On contended topologies
+// the fetch also pays any queueing delay on the interconnect route to
+// f's node.
 //
 //numalint:hotpath
 func (m *Machine) ChargeFetch(th *sim.Thread, proc int, f *mem.Frame) {
-	c := &m.cfg.Cost
-	th.Advance(c.FetchCost(f, proc))
+	p := m.procs[proc]
+	col := m.spec.Col(f.Proc())
+	th.Advance(p.fetchLat[col])
 	m.chargeLink(th, proc, f, 4, false)
-	r := &m.procs[proc].refs
-	switch {
-	case f.Kind() == mem.Global:
-		r.GlobalFetch++
-	case f.Proc() == m.spec.Home(proc):
-		r.LocalFetch++
-	default:
-		r.RemoteFetch++
-	}
+	p.fetches[p.class[col]]++
 }
 
-// ChargeStore charges th for a 32-bit store to frame f by processor proc and
-// counts it. On contended topologies the store also pays any queueing
-// delay on the interconnect route to f's node.
+// ChargeStore charges th for a 32-bit store to frame f by processor proc
+// and counts it, from proc's per-column tables (see ChargeFetch). On
+// contended topologies the store also pays any queueing delay on the
+// interconnect route to f's node.
 //
 //numalint:hotpath
 func (m *Machine) ChargeStore(th *sim.Thread, proc int, f *mem.Frame) {
-	c := &m.cfg.Cost
-	th.Advance(c.StoreCost(f, proc))
+	p := m.procs[proc]
+	col := m.spec.Col(f.Proc())
+	th.Advance(p.storeLat[col])
 	m.chargeLink(th, proc, f, 4, false)
-	r := &m.procs[proc].refs
-	switch {
-	case f.Kind() == mem.Global:
-		r.GlobalStore++
-	case f.Proc() == m.spec.Home(proc):
-		r.LocalStore++
-	default:
-		r.RemoteStore++
-	}
+	p.stores[p.class[col]]++
 }
 
 // chargeLink routes a transfer touching frame f over the interconnect and
@@ -605,7 +647,7 @@ func (m *Machine) LocalPressure() []PoolPressure {
 func (m *Machine) TotalRefs() RefStats {
 	var sum RefStats
 	for _, p := range m.procs {
-		sum.Add(p.refs)
+		sum.Add(p.Refs())
 	}
 	return sum
 }

@@ -67,6 +67,7 @@ var Analyzer = &analysis.Analyzer{
 // (a stale or unannotated entry is itself a diagnostic).
 var Contracts = map[string]bool{
 	// mmu: translation, mapping and protection on the per-processor MMU.
+	"(*numasim/internal/mmu.MMU).Probe":        true,
 	"(*numasim/internal/mmu.MMU).Translate":    true,
 	"(*numasim/internal/mmu.MMU).Enter":        true,
 	"(*numasim/internal/mmu.MMU).Remove":       true,

@@ -11,6 +11,7 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 )
 
 // Kind distinguishes the two levels of the memory hierarchy.
@@ -35,42 +36,44 @@ func (k Kind) String() string {
 
 // Frame is one physical page frame. Its contents are allocated lazily on
 // first access, so large sparsely-touched memories are cheap to model.
+// A machine builds one record per frame of every pool, so the fields are
+// packed: 40 bytes a frame.
 type Frame struct {
-	kind     Kind
-	proc     int // owning processor for Local frames; -1 for Global
-	index    int // position within its pool
-	pageSize int
 	data     []byte
+	pageSize int32
+	index    int32 // position within its pool
+	proc     int32 // owning node for Local frames; -1 for Global
+	kind     uint8 // a Kind
 	inUse    bool
 }
 
 // Kind reports which level of the hierarchy the frame belongs to.
 //
 //numalint:hotpath
-func (f *Frame) Kind() Kind { return f.kind }
+func (f *Frame) Kind() Kind { return Kind(f.kind) }
 
 // Proc reports the node owning a local frame, or -1 for global frames.
 // (On the ACE node == processor, hence the name.)
 //
 //numalint:hotpath
-func (f *Frame) Proc() int { return f.proc }
+func (f *Frame) Proc() int { return int(f.proc) }
 
 // Index reports the frame's position within its pool.
 //
 //numalint:hotpath
-func (f *Frame) Index() int { return f.index }
+func (f *Frame) Index() int { return int(f.index) }
 
 // PageSize reports the frame's size in bytes.
 //
 //numalint:hotpath
-func (f *Frame) PageSize() int { return f.pageSize }
+func (f *Frame) PageSize() int { return int(f.pageSize) }
 
 // InUse reports whether the frame is currently allocated.
 func (f *Frame) InUse() bool { return f.inUse }
 
 // String identifies the frame for diagnostics.
 func (f *Frame) String() string {
-	if f.kind == Global {
+	if f.Kind() == Global {
 		return fmt.Sprintf("global[%d]", f.index)
 	}
 	return fmt.Sprintf("local%d[%d]", f.proc, f.index)
@@ -83,7 +86,7 @@ func (f *Frame) String() string {
 func (f *Frame) Data() []byte {
 	if f.data == nil {
 		//numalint:coldpath lazy first touch: each frame's backing bytes are allocated once
-		f.data = make([]byte, f.pageSize)
+		f.data = make([]byte, f.PageSize())
 	}
 	return f.data
 }
@@ -137,10 +140,24 @@ func allZero(b []byte) bool {
 	return true
 }
 
+// checkOff panics unless [off, off+size) lies inside the frame. The one
+// unsigned compare rejects a negative off too. The panic value is an
+// offsetError whose message is formatted only when printed, so the check
+// stays cheap enough to inline into the accessors.
 func (f *Frame) checkOff(off, size int) {
-	if off < 0 || off+size > f.pageSize {
-		panic(fmt.Sprintf("mem: access [%d,%d) outside %d-byte frame %s", off, off+size, f.pageSize, f))
+	if uint(off) > uint(int(f.pageSize)-size) {
+		panic(offsetError{f, off, size})
 	}
+}
+
+// offsetError is the panic value of an access outside a frame.
+type offsetError struct {
+	f         *Frame
+	off, size int
+}
+
+func (e offsetError) Error() string {
+	return fmt.Sprintf("mem: access [%d,%d) outside %d-byte frame %s", e.off, e.off+e.size, e.f.pageSize, e.f)
 }
 
 // Load32 reads the 32-bit word at byte offset off.
@@ -214,7 +231,7 @@ type Pool struct {
 	name   string
 	kind   Kind
 	proc   int
-	frames []*Frame
+	frames []Frame
 	free   []*Frame // LIFO free list
 
 	// Pressure accounting: the most frames ever simultaneously in use,
@@ -236,22 +253,20 @@ func NewPool(kind Kind, proc, n, pageSize int) *Pool {
 	if kind == Local {
 		name = fmt.Sprintf("local memory of cpu%d", proc)
 	}
+	if pageSize > math.MaxInt32 || n > math.MaxInt32 {
+		panic(fmt.Sprintf("mem: pool of %d frames of %d bytes is too large", n, pageSize))
+	}
 	p := &Pool{name: name, kind: kind, proc: proc}
-	p.frames = make([]*Frame, n)
-	p.free = make([]*Frame, 0, n)
 	// One block for all frame records: machine construction used to be one
 	// allocation per frame, which dominated the harness's allocation
 	// profile (a table run builds many machines).
-	backing := make([]Frame, n)
-	for i := 0; i < n; i++ {
-		f := &backing[i]
-		*f = Frame{kind: kind, proc: proc, index: i, pageSize: pageSize}
-		p.frames[i] = f
-	}
-	// Hand out low indices first: push in reverse so the LIFO free list
-	// pops frame 0 first.
-	for i := n - 1; i >= 0; i-- {
-		p.free = append(p.free, p.frames[i])
+	p.frames = make([]Frame, n)
+	p.free = make([]*Frame, n)
+	for i := range p.frames {
+		p.frames[i] = Frame{kind: uint8(kind), proc: int32(proc), index: int32(i), pageSize: int32(pageSize)}
+		// Hand out low indices first: the LIFO free list pops frame 0
+		// first.
+		p.free[n-1-i] = &p.frames[i]
 	}
 	return p
 }
@@ -304,7 +319,7 @@ func (p *Pool) Alloc() (*Frame, error) {
 //
 //numalint:hotpath
 func (p *Pool) Release(f *Frame) {
-	if f.kind != p.kind || f.proc != p.proc {
+	if f.Kind() != p.kind || f.Proc() != p.proc {
 		panic(fmt.Sprintf("mem: frame %s released to wrong pool %s", f, p.name))
 	}
 	if !f.inUse {
@@ -315,7 +330,7 @@ func (p *Pool) Release(f *Frame) {
 }
 
 // Frame returns the i'th frame of the pool (allocated or not).
-func (p *Pool) Frame(i int) *Frame { return p.frames[i] }
+func (p *Pool) Frame(i int) *Frame { return &p.frames[i] }
 
 // Memory aggregates the global pool and the per-node local pools of a
 // machine. On the two-level ACE every processor is its own node; multi-node

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -135,6 +136,42 @@ func TestFrameBoundsPanic(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// TestFrameBoundsPanicMessage pins the bounds check's panic message for
+// a negative offset and for an overrun, on every accessor width, and the
+// edges that must not panic.
+func TestFrameBoundsPanicMessage(t *testing.T) {
+	p := NewPool(Local, 3, 2, 512)
+	p.Alloc()
+	f, _ := p.Alloc()
+	msg := func(fn func()) (s string) {
+		defer func() {
+			if r := recover(); r != nil {
+				s = fmt.Sprint(r)
+			}
+		}()
+		fn()
+		return ""
+	}
+	for _, tc := range []struct {
+		fn   func()
+		want string
+	}{
+		{func() { f.Load32(-4) }, "mem: access [-4,0) outside 512-byte frame local3[1]"},
+		{func() { f.Store32(-1, 0) }, "mem: access [-1,3) outside 512-byte frame local3[1]"},
+		{func() { f.Load8(-1) }, "mem: access [-1,0) outside 512-byte frame local3[1]"},
+		{func() { f.Store64(-8, 0) }, "mem: access [-8,0) outside 512-byte frame local3[1]"},
+		{func() { f.Load32(510) }, "mem: access [510,514) outside 512-byte frame local3[1]"},
+		{func() { f.Store8(512, 0) }, "mem: access [512,513) outside 512-byte frame local3[1]"},
+		{func() { f.Load64(505) }, "mem: access [505,513) outside 512-byte frame local3[1]"},
+		{func() { f.Store64(1<<40, 0) }, fmt.Sprintf("mem: access [%d,%d) outside 512-byte frame local3[1]", 1<<40, 1<<40+8)},
+		{func() { f.Load32(508); f.Store64(504, 1); f.Load8(0); f.Store8(511, 1) }, ""},
+	} {
+		if got := msg(tc.fn); got != tc.want {
+			t.Errorf("panic %q, want %q", got, tc.want)
+		}
 	}
 }
 

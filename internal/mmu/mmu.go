@@ -79,12 +79,17 @@ type Stats struct {
 // applications' inner loops.
 const tlbSize = 64
 
-// tlbSlot caches one translation. The slot holds the PTE pointer, not a
-// copy, so in-place protection changes are always visible; only mappings
-// that are removed or replaced need explicit slot invalidation.
+// tlbSlot caches one translation: a copy of the PTE's frame and
+// protection, so a hit reads one slot and no PTE. Every change to a
+// cached PTE must reach its slot: Enter refills it, Protect updates it,
+// and every removal path (Remove, RemoveFrame, alias displacement,
+// Protect to ProtNone, RemoveAll) invalidates it. A slot is valid
+// exactly when its protection is not ProtNone (no mapping ever has
+// ProtNone), so the zero slot is empty.
 type tlbSlot struct {
-	key Key
-	pte *PTE
+	key   Key
+	frame *mem.Frame
+	prot  Prot
 }
 
 // MMU is the translation state of a single processor.
@@ -123,14 +128,14 @@ func (m *MMU) Stats() Stats { return m.stats }
 // tlbDrop invalidates the slot caching key, if it still does.
 func (m *MMU) tlbDrop(key Key) {
 	s := &m.tlb[int(key)&(tlbSize-1)]
-	if s.pte != nil && s.key == key {
-		s.pte = nil
+	if s.key == key {
+		*s = tlbSlot{}
 	}
 }
 
 // tlbFill caches a translation, displacing whatever shared its slot.
-func (m *MMU) tlbFill(key Key, pte *PTE) {
-	m.tlb[int(key)&(tlbSize-1)] = tlbSlot{key: key, pte: pte}
+func (m *MMU) tlbFill(pte *PTE) {
+	m.tlb[int(pte.Key)&(tlbSize-1)] = tlbSlot{key: pte.Key, frame: pte.Frame, prot: pte.Prot}
 }
 
 func (m *MMU) invalidateTLB() { m.tlb = [tlbSize]tlbSlot{} }
@@ -156,14 +161,14 @@ func (m *MMU) Enter(key Key, frame *mem.Frame, prot Prot) {
 		m.free = append(m.free, old) //numalint:coldpath bounded: capacity tracks the PTE working-set high water
 	}
 	if old, ok := m.pt[key]; ok {
-		// Re-enter of a mapped key: update the record in place. The TLB
-		// caches the pointer, so a cached slot stays valid.
+		// Re-enter of a mapped key: update the record in place and
+		// refill its slot.
 		delete(m.byFrm, old.Frame)
 		old.Frame = frame
 		old.Prot = prot
 		m.byFrm[frame] = old
 		m.stats.Enters++
-		m.tlbFill(key, old)
+		m.tlbFill(old)
 		return
 	}
 	var pte *PTE
@@ -179,7 +184,7 @@ func (m *MMU) Enter(key Key, frame *mem.Frame, prot Prot) {
 	m.byFrm[frame] = pte
 	m.stats.Enters++
 	// Prefill: the faulting access retries immediately after Enter.
-	m.tlbFill(key, pte)
+	m.tlbFill(pte)
 }
 
 // Remove drops the translation for vpn, if any.
@@ -223,10 +228,13 @@ func (m *MMU) Protect(key Key, prot Prot) {
 			m.Remove(key)
 			return
 		}
-		// The TLB caches the PTE pointer, so the change is visible to
-		// cached translations without invalidation.
 		pte.Prot = prot
 		m.stats.Protects++
+		// The TLB caches a copy of the protection: update a slot that
+		// holds this key.
+		if s := &m.tlb[int(key)&(tlbSize-1)]; s.key == key && s.prot != ProtNone {
+			s.prot = prot
+		}
 	}
 }
 
@@ -254,23 +262,38 @@ func (m *MMU) LookupFrame(frame *mem.Frame) *PTE {
 	return m.byFrm[frame]
 }
 
+// Probe is the TLB-hit test alone: it returns the cached frame when the
+// TLB holds key with a protection that permits the access, and nil
+// otherwise — a miss, or a cached protection too weak, which Translate
+// then settles through the page table. Split from Translate, it is small
+// enough to inline into the per-reference path.
+//
+//numalint:hotpath
+func (m *MMU) Probe(key Key, write bool) *mem.Frame {
+	need := ProtRead
+	if write {
+		need = ProtWrite
+	}
+	if s := &m.tlb[int(key)&(tlbSize-1)]; s.key == key && s.prot&need != 0 {
+		return s.frame
+	}
+	return nil
+}
+
 // Translate resolves an access. It returns the frame to access if the
 // translation exists with sufficient permission, or nil to signal a fault.
-// This is the hot path: it goes through the direct-mapped TLB first.
+// A TLB miss is settled through the page table and refills the slot.
 //
 //numalint:hotpath
 func (m *MMU) Translate(key Key, write bool) *mem.Frame {
-	s := &m.tlb[int(key)&(tlbSize-1)]
-	pte := s.pte
-	if pte == nil || s.key != key {
-		var ok bool
-		pte, ok = m.pt[key]
-		if !ok {
-			return nil
-		}
-		s.key = key
-		s.pte = pte
+	if f := m.Probe(key, write); f != nil {
+		return f
 	}
+	pte, ok := m.pt[key]
+	if !ok {
+		return nil
+	}
+	m.tlbFill(pte)
 	if write {
 		if !pte.Prot.CanWrite() {
 			return nil

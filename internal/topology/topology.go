@@ -135,6 +135,20 @@ func (s *Spec) StoreLatency(proc, col int) sim.Time {
 	return s.store[proc*(s.nnodes+1)+col]
 }
 
+// FetchRow returns processor proc's row of the fetch-latency matrix,
+// indexed by column as FetchLatency is. The row is the spec's own
+// storage, not a copy, and must not be mutated.
+func (s *Spec) FetchRow(proc int) []sim.Time { return s.row(s.fetch, proc) }
+
+// StoreRow returns processor proc's row of the store-latency matrix (see
+// FetchRow).
+func (s *Spec) StoreRow(proc int) []sim.Time { return s.row(s.store, proc) }
+
+func (s *Spec) row(mat []sim.Time, proc int) []sim.Time {
+	w := s.nnodes + 1
+	return mat[proc*w : (proc+1)*w : (proc+1)*w]
+}
+
 // Contended reports whether the spec models interconnect contention.
 //
 //numalint:hotpath

@@ -678,9 +678,11 @@ type Context struct {
 	// indirections through kernel, machine and task are resolved once here
 	// (and again on migration) instead of per reference.
 	mach     *ace.Machine
-	hw       *mmu.MMU   // current processor's MMU
-	pm       *pmap.Pmap // the task's pmap (for key composition)
-	pageMask uint32     // PageSize-1, for offset extraction
+	cost     *ace.CostModel // the machine's cost model, for instruction charges
+	quantum  sim.Time       // the machine's scheduling quantum
+	hw       *mmu.MMU       // current processor's MMU
+	pm       *pmap.Pmap     // the task's pmap (for key composition)
+	pageMask uint32         // PageSize-1, for offset extraction
 
 	sliceEnd sim.Time
 	// OnQuantum, if set, is invoked when the scheduling quantum expires,
@@ -699,6 +701,8 @@ func NewContext(k *Kernel, task *Task, th *sim.Thread, proc int) *Context {
 		th:       th,
 		proc:     proc,
 		mach:     k.machine,
+		cost:     k.machine.Cost(),
+		quantum:  k.machine.Config().Quantum,
 		hw:       k.machine.MMU(proc),
 		pm:       task.pm,
 		pageMask: uint32(k.machine.PageSize() - 1),
@@ -790,21 +794,25 @@ func (c *Context) quantumExpired() {
 	} else {
 		c.th.Yield()
 	}
-	c.sliceEnd = c.th.Clock() + c.kernel.machine.Config().Quantum
+	c.sliceEnd = c.th.Clock() + c.quantum
 }
 
 // translate resolves va for an access, faulting as needed. The TLB probe
 // is the fast path; everything after a miss lives in translateSlow so the
 // probe inlines into the accessors.
 func (c *Context) translate(va uint32, write bool) *mem.Frame {
-	if f := c.hw.Translate(c.pm.Key(va), write); f != nil {
+	if f := c.hw.Probe(c.pm.Key(va), write); f != nil {
 		return f
 	}
 	return c.translateSlow(va, write)
 }
 
-// translateSlow resolves a TLB/translation miss through the fault path.
+// translateSlow resolves a TLB miss through the MMU's page table and,
+// failing that, through the fault path.
 func (c *Context) translateSlow(va uint32, write bool) *mem.Frame {
+	if f := c.hw.Translate(c.pm.Key(va), write); f != nil {
+		return f
+	}
 	for i := 0; i < maxFaultRetries; i++ {
 		if err := c.kernel.Fault(c.th, c.task, c.proc, va, write); err != nil {
 			panic(&AccessError{VA: va, Write: write, Err: err})
@@ -820,7 +828,7 @@ func (c *Context) translateSlow(va uint32, write bool) *mem.Frame {
 // on a TLB hit to a local frame it runs without touching kernel or task
 // state beyond the trace predicate.
 func (c *Context) refFetch(va uint32) *mem.Frame {
-	f := c.hw.Translate(c.pm.Key(va), false)
+	f := c.hw.Probe(c.pm.Key(va), false)
 	if f == nil {
 		f = c.translateSlow(va, false)
 	}
@@ -834,7 +842,7 @@ func (c *Context) refFetch(va uint32) *mem.Frame {
 
 // refStore is the folded translate+trace+charge path for one 32-bit write.
 func (c *Context) refStore(va uint32) *mem.Frame {
-	f := c.hw.Translate(c.pm.Key(va), true)
+	f := c.hw.Probe(c.pm.Key(va), true)
 	if f == nil {
 		f = c.translateSlow(va, true)
 	}
@@ -981,37 +989,37 @@ func (c *Context) FetchOr32(va uint32, bits uint32) uint32 {
 
 // Compute charges n simple ALU/register instructions of user time.
 func (c *Context) Compute(n int) {
-	c.th.Advance(sim.Time(n) * c.kernel.machine.Cost().Instr)
+	c.th.Advance(sim.Time(n) * c.cost.Instr)
 	c.tick()
 }
 
 // Mul charges n integer multiplies (software multiply on the ROMP).
 func (c *Context) Mul(n int) {
-	c.th.Advance(sim.Time(n) * c.kernel.machine.Cost().Mul)
+	c.th.Advance(sim.Time(n) * c.cost.Mul)
 	c.tick()
 }
 
 // Div charges n integer divides ("division is expensive on the ACE").
 func (c *Context) Div(n int) {
-	c.th.Advance(sim.Time(n) * c.kernel.machine.Cost().Div)
+	c.th.Advance(sim.Time(n) * c.cost.Div)
 	c.tick()
 }
 
 // FAdd charges n floating additions/subtractions.
 func (c *Context) FAdd(n int) {
-	c.th.Advance(sim.Time(n) * c.kernel.machine.Cost().FAdd)
+	c.th.Advance(sim.Time(n) * c.cost.FAdd)
 	c.tick()
 }
 
 // FMul charges n floating multiplications.
 func (c *Context) FMul(n int) {
-	c.th.Advance(sim.Time(n) * c.kernel.machine.Cost().FMul)
+	c.th.Advance(sim.Time(n) * c.cost.FMul)
 	c.tick()
 }
 
 // FDiv charges n floating divisions.
 func (c *Context) FDiv(n int) {
-	c.th.Advance(sim.Time(n) * c.kernel.machine.Cost().FDiv)
+	c.th.Advance(sim.Time(n) * c.cost.FDiv)
 	c.tick()
 }
 
@@ -1027,7 +1035,7 @@ func (c *Context) Syscall(nInstr int, touches ...uint32) {
 	if c.kernel.UnixMaster && home != 0 {
 		c.MigrateTo(0)
 	}
-	c.th.AdvanceSys(sim.Time(nInstr) * c.kernel.machine.Cost().Instr)
+	c.th.AdvanceSys(sim.Time(nInstr) * c.cost.Instr)
 	for _, va := range touches {
 		f := c.translate(va, true)
 		m := c.mach

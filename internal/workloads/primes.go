@@ -2,43 +2,98 @@ package workloads
 
 import (
 	"fmt"
+	"math/bits"
 
 	"numasim/internal/cthreads"
 	"numasim/internal/vm"
 )
 
-// hostSieve computes the primes up to limit on the host, for verification.
-// Arithmetic is done in uint64 so n*n cannot wrap for large limits.
-func hostSieve(limit uint32) []uint32 {
-	if limit < 2 {
-		return nil
+// oddSieve is the host-side prime oracle the prime workloads verify
+// against: a sieve of Eratosthenes over the odd numbers up to limit, one
+// bit per odd number (bit i stands for 2i+1 and is set once that number
+// is known composite, or has been taken). At Primes3's limit of
+// 10,000,000 it is 625 KB.
+type oddSieve struct {
+	limit uint32
+	bits  []uint64
+	took2 bool
+}
+
+// newOddSieve sieves the odd numbers up to limit. Arithmetic is done in
+// uint64 so n*n cannot wrap for large limits.
+func newOddSieve(limit uint32) *oddSieve {
+	n := (uint64(limit) + 1) / 2 // odd numbers 1, 3, ..., <= limit
+	s := &oddSieve{limit: limit, bits: make([]uint64, (n+63)/64)}
+	if n > 0 {
+		s.set(1) // 1 is not prime
 	}
 	lim := uint64(limit)
-	composite := make([]bool, lim+1)
-	var primes []uint32
-	for n := uint64(2); n <= lim; n++ {
-		if composite[n] {
+	for p := uint64(3); p*p <= lim; p += 2 {
+		if s.marked(uint32(p)) {
 			continue
 		}
-		primes = append(primes, uint32(n))
-		for m := n * n; m <= lim; m += n {
-			composite[m] = true
+		for m := p * p; m <= lim; m += 2 * p {
+			s.set(uint32(m))
 		}
 	}
-	return primes
+	return s
 }
 
-func countPrimes(limit uint32) int { return len(hostSieve(limit)) }
+// set marks the odd number n; marked reports whether it is marked.
+func (s *oddSieve) set(n uint32)         { s.bits[n/128] |= 1 << (n / 2 % 64) }
+func (s *oddSieve) marked(n uint32) bool { return s.bits[n/128]&(1<<(n/2%64)) != 0 }
 
-// primeSet indexes primes (all at most limit) by value: set[p] is true
-// exactly for the listed primes.
-func primeSet(primes []uint32, limit uint32) []bool {
-	set := make([]bool, uint64(limit)+1)
-	for _, p := range primes {
-		set[p] = true
+// take reports whether n is a prime at most limit that has not been
+// taken, and takes it: a verifier walking an output vector calls it once
+// per entry, so a composite, an out-of-range value and a duplicate all
+// fail alike.
+func (s *oddSieve) take(n uint32) bool {
+	switch {
+	case n > s.limit:
+		return false
+	case n == 2:
+		if s.took2 {
+			return false
+		}
+		s.took2 = true
+	case n%2 == 0 || s.marked(n):
+		return false
+	default:
+		s.set(n)
 	}
-	return set
+	return true
 }
+
+// count returns the number of untaken primes at most limit.
+func (s *oddSieve) count() int {
+	n := (uint64(s.limit) + 1) / 2
+	marked := 0
+	for _, w := range s.bits {
+		marked += bits.OnesCount64(w)
+	}
+	// Bits past the last odd number are never set, so the unmarked odd
+	// numbers are the untaken odd primes.
+	c := int(n) - marked
+	if s.limit >= 2 && !s.took2 {
+		c++
+	}
+	return c
+}
+
+// oddPrimes returns the odd primes at most max (which must not exceed
+// limit), in ascending order.
+func (s *oddSieve) oddPrimes(max uint32) []uint32 {
+	var out []uint32
+	for n := uint64(3); n <= uint64(max); n += 2 {
+		if !s.marked(uint32(n)) {
+			out = append(out, uint32(n))
+		}
+	}
+	return out
+}
+
+// countPrimes returns the number of primes at most limit.
+func countPrimes(limit uint32) int { return newOddSieve(limit).count() }
 
 // Primes1 "determines if an odd number is prime by dividing it by all odd
 // numbers less than its square root and checking for remainders. It
@@ -283,20 +338,19 @@ func (w *Primes2) Start(rt *cthreads.Runtime, nworkers int) func() error {
 }
 
 func (w *Primes2) verify() error {
-	want := hostSieve(w.Limit)
+	oracle := newOddSieve(w.Limit)
+	want := oracle.count()
 	got := int(readWord(w.task, w.outCnt))
-	if got != len(want) {
-		return fmt.Errorf("%s: found %d primes, want %d", w.Name(), got, len(want))
+	if got != want {
+		return fmt.Errorf("%s: found %d primes, want %d", w.Name(), got, want)
 	}
 	// The vector holds exactly the primes (seeds in order, the rest in
 	// completion order): check as a set.
-	wantSet := primeSet(want, w.Limit)
 	for i := 0; i < got; i++ {
 		v := readWord(w.task, w.outVec+uint32(i)*4)
-		if v > w.Limit || !wantSet[v] {
+		if !oracle.take(v) {
 			return fmt.Errorf("%s: output[%d] = %d is not prime or duplicated", w.Name(), i, v)
 		}
-		wantSet[v] = false
 	}
 	return nil
 }
@@ -345,17 +399,15 @@ func (w *Primes3) Start(rt *cthreads.Runtime, nworkers int) func() error {
 	nBits := (w.Limit - 1) / 2
 	nWords := (nBits + 31) / 32
 	w.sieve = rt.Alloc("sieve", nWords*4)
-	capacity := uint32(countPrimes(w.Limit) + 8)
+	oracle := newOddSieve(w.Limit)
+	capacity := uint32(oracle.count() + 8)
 	w.outVec = rt.Alloc("primes", capacity*4)
 	cnt := rt.Alloc("count", 8)
 	w.outCnt = cnt
 	outLock := cthreads.NewSpinLockAt(cnt + 4)
 
-	seeds := hostSieve(isqrt(w.Limit))
-	// Drop 2: the sieve holds odd numbers only.
-	if len(seeds) > 0 && seeds[0] == 2 {
-		seeds = seeds[1:]
-	}
+	// The sieve holds odd numbers only, so the seeds leave out 2.
+	seeds := oracle.oddPrimes(isqrt(w.Limit))
 	strikePile := rt.NewWorkPile(uint32(len(seeds)))
 	scanPile := rt.NewWorkPile(nWords)
 	barrier := cthreads.NewBarrier(nworkers)
@@ -429,21 +481,20 @@ func (w *Primes3) Start(rt *cthreads.Runtime, nworkers int) func() error {
 }
 
 func (w *Primes3) verify() error {
-	want := hostSieve(w.Limit)
-	if len(want) > 0 && want[0] == 2 {
-		want = want[1:] // sieve of odds: 2 is implicit
-	}
+	oracle := newOddSieve(w.Limit)
+	// Sieve of odds: 2 is implicit. Taking it up front also makes a 2 in
+	// the output fail as a duplicate.
+	oracle.take(2)
+	want := oracle.count()
 	got := int(readWord(w.task, w.outCnt))
-	if got != len(want) {
-		return fmt.Errorf("Primes3: found %d odd primes, want %d", got, len(want))
+	if got != want {
+		return fmt.Errorf("Primes3: found %d odd primes, want %d", got, want)
 	}
-	wantSet := primeSet(want, w.Limit)
 	for i := 0; i < got; i++ {
 		v := readWord(w.task, w.outVec+uint32(i)*4)
-		if v > w.Limit || !wantSet[v] {
+		if !oracle.take(v) {
 			return fmt.Errorf("Primes3: output[%d] = %d is not an odd prime or duplicated", i, v)
 		}
-		wantSet[v] = false
 	}
 	return nil
 }
