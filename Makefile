@@ -132,9 +132,9 @@ topo:
 	$(GO) test -race -count=1 ./internal/topology/
 
 # tournament is the policy-zoo gate: the ranked grid must be
-# byte-identical at any -parallel (adaptive policies carry per-run
-# state — decaying histograms, a bandit PRNG — so this also proves no
-# state leaks across the worker pool), the capability fuzz must hold,
+# byte-identical at any -parallel (reconsider carries per-run state,
+# its per-page reprieve counts, so this also proves no state leaks
+# across the worker pool), the capability fuzz must hold,
 # and at least one adaptive policy must beat the fixed threshold on the
 # skewed Zipf probe.
 tournament:

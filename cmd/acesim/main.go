@@ -39,7 +39,7 @@
 //
 // Policies are registry specs of the form "name:key=val,..." (see
 // policy.Usage): threshold (default), allglobal, alllocal, neverpin,
-// pragma, reconsider, freezedefrost, decaythreshold, bandit, classifier.
+// pragma, reconsider, freezedefrost, decaythreshold, classifier.
 // Parameters ride on the spec ("threshold:limit=2"). Apps: ParMult,
 // Gfetch, IMatMult, Primes1, Primes2, Primes2-untuned, Primes3, FFT,
 // PlyTrace, plus the Phased and Zipf policy probes.

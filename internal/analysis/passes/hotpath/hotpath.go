@@ -168,8 +168,6 @@ var Contracts = map[string]bool{
 	"(*numasim/internal/numa.Page).MoveHeat":        true,
 	"(*numasim/internal/numa.Page).TotalHeat":       true,
 	"(*numasim/internal/numa.Page).HotNode":         true,
-	"(*numasim/internal/numa.Page).PolicyWord":      true,
-	"(*numasim/internal/numa.Page).SetPolicyWord":   true,
 
 	// pmap: VPN-indexed residency lookups and mapping entry.
 	"(*numasim/internal/pmap.Pmap).Key":         true,
@@ -192,11 +190,6 @@ var InterfaceContracts = map[string]bool{
 	"(numasim/internal/numa.Policy).CachePolicy":                     true,
 	"(numasim/internal/numa.Policy).Name":                            true,
 	"(numasim/internal/numa.ReconsideringPolicy).ReconsiderInterval": true,
-	// The capability interfaces of the redesigned policy API
-	// (internal/numa/policyapi.go): per-access observation and epoch
-	// retirement both run per protocol request.
-	"(numasim/internal/numa.PageObserver).ObserveAccess": true,
-	"(numasim/internal/numa.Retirer).RetireEpoch":        true,
 }
 
 // cleanStd are standard-library packages whose exported functions are

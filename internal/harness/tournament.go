@@ -30,7 +30,6 @@ var TournamentPolicies = []string{
 	"reconsider",
 	"freezedefrost",
 	"decaythreshold",
-	"bandit",
 	"classifier",
 }
 

@@ -8,19 +8,20 @@ import (
 )
 
 // reduced grid for the determinism and acceptance tests: one topology,
-// the two phase-changing probes, and a policy subset that includes a
-// seeded bandit (its PRNG stream must also replay identically).
+// the two phase-changing probes, and a policy subset that includes the
+// adaptive policies and reconsider, whose reprieve counts are per-run
+// state.
 var (
 	testTopos = []string{"ace"}
 	testWorks = []string{"Phased", "Zipf"}
-	testPols  = []string{"threshold", "decaythreshold", "bandit:seed=7", "classifier"}
+	testPols  = []string{"threshold", "decaythreshold", "reconsider", "classifier"}
 )
 
 // TestTournamentParallelDeterminism: the ranked tournament tables must
 // be byte-identical whether the grid's cells run sequentially or eight
-// at a time. The adaptive policies carry per-run state (decaying
-// histograms, a bandit PRNG), so this also proves a fresh policy is
-// parsed per cell and nothing leaks across the pool.
+// at a time. Reconsider carries per-run state (its per-page reprieve
+// counts), so this also proves a fresh policy is parsed per cell and
+// nothing leaks across the pool.
 func TestTournamentParallelDeterminism(t *testing.T) {
 	seq, err := tournamentGrid(Options{NProc: 3, Small: true, Parallelism: 1}, testTopos, testWorks, testPols)
 	if err != nil {

@@ -136,7 +136,7 @@ func (n *Manager) auditCheckPage(pg *Page) error {
 	}
 	// Heat-counter invariants (policyapi.go): the histogram is sized to
 	// the machine, it never runs ahead of the manager's decay epoch, and
-	// without an observing or retiring policy it stays untouched.
+	// without a ReconsideringPolicy bound it stays untouched.
 	if len(pg.heat) != len(n.shards) {
 		return fmt.Errorf("page%d heat histogram has %d buckets, want %d", pg.id, len(pg.heat), len(n.shards))
 	}
@@ -145,11 +145,11 @@ func (n *Manager) auditCheckPage(pg *Page) error {
 	}
 	if !n.trackHeat {
 		if pg.moveHeat != 0 || pg.heatEpoch != 0 {
-			return fmt.Errorf("page%d carries heat counters but the policy has no observer/retirer capability", pg.id)
+			return fmt.Errorf("page%d carries heat counters but the policy is not a ReconsideringPolicy", pg.id)
 		}
 		for node, h := range pg.heat {
 			if h != 0 {
-				return fmt.Errorf("page%d node%d heat %d without an observer/retirer capability", pg.id, node, h)
+				return fmt.Errorf("page%d node%d heat %d but the policy is not a ReconsideringPolicy", pg.id, node, h)
 			}
 		}
 	}

@@ -1,12 +1,11 @@
 package numa_test
 
 // Capability fuzz: the seeded protocol fuzz rerun with a policy that
-// carries the full optional-capability surface — a page observer and an
-// epoch retirer. The heat counters and the epoch clock run hot while
-// the usual
-// apparatus (online audit at stride 1, the dense/map oracle, the
-// last-write-wins content oracle) checks that none of it perturbs the
-// protocol.
+// carries the policy API's one optional capability, ReconsideringPolicy.
+// The heat counters, the epoch clock and the defrost sweep run hot while
+// the usual apparatus (online audit at stride 1, the dense/map oracle,
+// the last-write-wins content oracle) checks that none of it perturbs
+// the protocol.
 
 import (
 	"fmt"
@@ -21,33 +20,26 @@ import (
 	"numasim/internal/simtrace"
 )
 
-// capPolicy wraps the scripted policy with every optional capability.
+// capPolicy wraps the scripted policy with the reconsidering
+// capability and a short defrost interval.
 type capPolicy struct {
 	*policy.Scripted
-	observed int
-	retired  int
+	consulted int // ReconsiderInterval calls: the sweep ran its check
 }
 
-// ObserveAccess implements numa.PageObserver.
+// ReconsiderInterval implements numa.ReconsideringPolicy.
 //
 //numalint:hotpath
-func (c *capPolicy) ObserveAccess(pg *numa.Page, proc int, write bool, now sim.Time) {
-	c.observed++
+func (c *capPolicy) ReconsiderInterval() sim.Time {
+	c.consulted++
+	return sim.Millisecond
 }
 
-// RetireEpoch implements numa.Retirer.
-//
-//numalint:hotpath
-func (c *capPolicy) RetireEpoch(now sim.Time) { c.retired++ }
-
-var (
-	_ numa.PageObserver = (*capPolicy)(nil)
-	_ numa.Retirer      = (*capPolicy)(nil)
-)
+var _ numa.ReconsideringPolicy = (*capPolicy)(nil)
 
 // capFuzzScript is fuzzScript's capability-bearing sibling: same shape
-// of seeded access script, but the policy observes pages and retires
-// epochs throughout.
+// of seeded access script, but with heat upkeep and the defrost sweep
+// on throughout.
 func capFuzzScript(t *testing.T, seed int64) {
 	t.Helper()
 	cfg := ace.DefaultConfig()
@@ -71,8 +63,8 @@ func capFuzzScript(t *testing.T, seed int64) {
 	if !n.TracksHeat() {
 		t.Fatalf("seed %d: capability policy bound but heat tracking is off", seed)
 	}
-	// A short epoch so the retirer's clock ticks within the run.
-	n.SetHeatEpoch(sim.Millisecond)
+	// A short epoch so the counters decay within the run.
+	numa.SetHeatEpoch(n, sim.Millisecond)
 
 	ring := simtrace.NewRingSink(256)
 	checker := newProtocolChecker()
@@ -150,17 +142,17 @@ func capFuzzScript(t *testing.T, seed int64) {
 		t.Logf("last %d events:\n%s", len(ring.Events()), simtrace.FormatEvents(ring.Events()))
 		return
 	}
-	if pol.observed == 0 {
-		t.Errorf("seed %d: the observer never fired", seed)
+	if numa.CurEpoch(n) == 0 {
+		t.Errorf("seed %d: the heat epoch clock never ticked", seed)
 	}
-	if pol.retired == 0 {
-		t.Errorf("seed %d: the epoch retirer never fired", seed)
+	if pol.consulted == 0 {
+		t.Errorf("seed %d: the defrost sweep never ran", seed)
 	}
 }
 
 // TestProtocolFuzzCapabilities replays seeded scripts with the
-// capability-bearing policy. A pass means the heat counters and epoch
-// retirement never corrupt contents, break a directory invariant, or
+// capability-bearing policy. A pass means the heat counters and the
+// defrost sweep never corrupt contents, break a directory invariant, or
 // diverge the dense forms from the map oracle.
 func TestProtocolFuzzCapabilities(t *testing.T) {
 	seeds := 300

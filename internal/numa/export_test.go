@@ -1,6 +1,10 @@
 package numa
 
-import "fmt"
+import (
+	"fmt"
+
+	"numasim/internal/sim"
+)
 
 // This file exports the dense directory's test oracle to the black-box
 // fuzz suite. MapOracle is the pre-dense representation of the manager's
@@ -94,3 +98,16 @@ func (o *MapOracle) Check(n *Manager) error {
 	}
 	return nil
 }
+
+// SetHeatEpoch shortens the heat counters' decay period from
+// DefaultHeatEpoch, so a short fuzz script crosses many epochs. Call it
+// before the simulation runs.
+func SetHeatEpoch(n *Manager, d sim.Time) { n.heatEpoch = d }
+
+// CurEpoch returns the decay epoch of the manager's latest request.
+func CurEpoch(n *Manager) uint32 { return n.curEpoch }
+
+// ForceHeatUpkeep turns the heat counters on under a policy that is not
+// a ReconsideringPolicy, without the defrost sweep. Call it before the
+// simulation runs.
+func ForceHeatUpkeep(n *Manager) { n.trackHeat = true }

@@ -110,8 +110,4 @@ func TestHeatAccessors(t *testing.T) {
 	if got := cold.HotNode(); got != -1 {
 		t.Errorf("HotNode on a cold page = %d, want -1", got)
 	}
-	pg.SetPolicyWord(0xdeadbeef)
-	if got := pg.PolicyWord(); got != 0xdeadbeef {
-		t.Errorf("PolicyWord = %#x, want 0xdeadbeef", got)
-	}
 }

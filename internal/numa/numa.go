@@ -150,14 +150,12 @@ type Page struct {
 
 	// Decaying counters for the adaptive policies (see policyapi.go):
 	// heat is the per-node access histogram, moveHeat the decaying
-	// analogue of moves, heatEpoch the decay epoch the counters were
-	// last shifted to, and pword an opaque 64-bit scratch word owned by
-	// the bound policy. Maintained only when the policy has the
-	// PageObserver or Retirer capability; pooled with the record.
+	// analogue of moves, and heatEpoch the decay epoch the counters were
+	// last shifted to. Maintained only when the policy is a
+	// ReconsideringPolicy; pooled with the record.
 	heat      []uint32
 	moveHeat  uint32
 	heatEpoch uint32
-	pword     uint64
 
 	// mgr is the owning manager (set on adoption); slot/gen locate the
 	// page in the manager's dense live-page directory (slot -1 after
@@ -377,13 +375,10 @@ type Manager struct {
 	gwPages   []*Page
 	lastSweep sim.Time
 
-	// Capability bindings (see policyapi.go): the policy's optional
-	// interfaces, asserted once in NewManager so the hot path only
-	// nil-checks. trackHeat is set when an observer or retirer is
-	// bound; heatEpoch is the decay period and curEpoch the epoch of
-	// the most recent request.
-	observer   PageObserver
-	retirer    Retirer
+	// Capability binding (see policyapi.go): the policy's optional
+	// interface, asserted once in NewManager so the hot path only
+	// nil-checks. trackHeat is set when it is bound; heatEpoch is the
+	// decay period and curEpoch the epoch of the most recent request.
 	reconsider ReconsideringPolicy
 	trackHeat  bool
 	heatEpoch  sim.Time
@@ -649,7 +644,7 @@ func (n *Manager) Access(th *sim.Thread, pg *Page, proc int, write bool, maxProt
 	// memory (on the ACE the two indices coincide).
 	node := n.machine.Home(proc)
 	if n.trackHeat {
-		n.observeAccess(pg, proc, node, write, th.Clock())
+		n.bumpHeat(pg, node, th.Clock())
 	}
 	loc := n.policy.CachePolicy(pg, proc, write, maxProt)
 	if n.offline != nil {

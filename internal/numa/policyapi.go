@@ -1,23 +1,20 @@
-// Capability interfaces: the redesigned policy API surface.
+// The policy API's one optional capability.
 //
 // numa.Policy stays a two-method core — CachePolicy plus Name — so the
-// paper's fixed policies keep compiling unchanged. Everything richer is
-// an optional capability detected once, by type assertion, when the
-// manager binds the policy in NewManager:
+// paper's fixed policies compile unchanged. A policy that can unpin
+// implements ReconsideringPolicy (numa.go); the manager detects it once,
+// when NewManager binds the policy, so the per-request hot path only
+// nil-checks a field. A wrapper policy (policy.Pragma) has an
+// Unwrap() Policy method, and the manager binds the capability of the
+// policy it wraps.
 //
-//   - PageObserver: the policy wants per-access notifications, and the
-//     manager maintains per-page decaying access histograms for it;
-//   - Retirer: the policy wants a hook at every decay-epoch rollover.
-//
-// Binding once keeps the per-request hot path free of type assertions:
-// Access consults plain nil-checked interface fields, exactly the price
-// the pre-redesign ReconsideringPolicy assertions paid per call.
-//
-// The decaying counters themselves live on the Page record (heat,
-// moveHeat, heatEpoch, pword) and are pooled with it, so the counter
-// paths allocate nothing; they are maintained only when an observer or
-// retirer capability is bound, which keeps the default-policy hot path
-// — and every ACE golden — byte-identical to the pre-redesign manager.
+// Binding the capability turns on two things: the defrost sweep that
+// re-presents pinned pages, and the per-page decaying counters (heat,
+// moveHeat, heatEpoch) that a policy deciding when to unpin reads. The
+// counters live on the Page record and are pooled with it, so their
+// upkeep allocates nothing; a policy without the capability pays
+// neither, which keeps the default-policy hot path — and every ACE
+// golden — byte-identical.
 package numa
 
 import "numasim/internal/sim"
@@ -34,79 +31,35 @@ const DefaultHeatEpoch = 50 * sim.Millisecond
 // defensively and keeps TotalHeat comfortably inside uint64.
 const heatCap = 1 << 24
 
-// PageObserver is a Policy that wants to see every request the manager
-// handles. Binding an observer also turns on the manager's per-page
-// decaying access histograms (NodeHeat/MoveHeat/HotNode), which are
-// updated before ObserveAccess runs, so the observer — and the
-// CachePolicy call that follows it — sees counters current through the
-// present access.
-type PageObserver interface {
-	Policy
-	// ObserveAccess is called once per request, after the page's
-	// decaying counters have been updated for it and before CachePolicy
-	// is consulted. It runs on the protocol hot path: implementations
-	// must not allocate.
-	ObserveAccess(pg *Page, proc int, write bool, now sim.Time)
-}
-
-// Retirer is a Policy that wants a hook at every decay-epoch rollover
-// — the moment the manager first handles a request in a new heat
-// epoch. Adaptive policies use it to retire exploration state or
-// re-seed deterministic exploration schedules.
-type Retirer interface {
-	Policy
-	// RetireEpoch is called once per decay epoch, from the protocol hot
-	// path: implementations must not allocate.
-	RetireEpoch(now sim.Time)
-}
-
-// SetHeatEpoch overrides the decay period of the per-page heat
-// counters (DefaultHeatEpoch otherwise). Install before the simulation
-// runs; d must be positive.
-func (n *Manager) SetHeatEpoch(d sim.Time) {
-	if d <= 0 {
-		panic(newViolation(nil, nil, "numa: non-positive heat epoch %v", d))
-	}
-	n.heatEpoch = d
-}
-
-// HeatEpoch returns the decay period of the per-page heat counters.
-func (n *Manager) HeatEpoch() sim.Time { return n.heatEpoch }
-
-// TracksHeat reports whether the bound policy's capabilities turned
-// the per-page heat histograms on.
+// TracksHeat reports whether the bound policy's capability turned the
+// per-page heat counters on.
 func (n *Manager) TracksHeat() bool { return n.trackHeat }
 
-// bindCapabilities detects the policy's optional capabilities once, at
-// manager construction, so the hot path never repeats the assertions.
+// bindCapabilities detects the policy's capability once, at manager
+// construction, so the hot path never repeats the assertion. A wrapper
+// is seen through to the policy it wraps. Every policy that reads heat
+// can unpin, so the one capability turns on both the defrost sweep and
+// the heat counters.
 func (n *Manager) bindCapabilities(pol Policy) {
-	n.observer, _ = pol.(PageObserver)
-	n.retirer, _ = pol.(Retirer)
+	if w, ok := pol.(interface{ Unwrap() Policy }); ok {
+		pol = w.Unwrap()
+	}
 	n.reconsider, _ = pol.(ReconsideringPolicy)
-	// A retirer needs the epoch clock, which ticks with the counters.
-	n.trackHeat = n.observer != nil || n.retirer != nil
+	n.trackHeat = n.reconsider != nil
 }
 
-// observeAccess maintains the decaying counters for one request and
-// runs the observer capability. Called from Access only when trackHeat
-// is set, after the request counters and timestamps are stamped and
-// before the policy is consulted.
+// bumpHeat maintains the decaying counters for one request. Called
+// from Access only when trackHeat is set, before the policy is
+// consulted, so the policy sees counters current through the present
+// access.
 //
 //numalint:hotpath
-func (n *Manager) observeAccess(pg *Page, proc, node int, write bool, now sim.Time) {
+func (n *Manager) bumpHeat(pg *Page, node int, now sim.Time) {
 	e := uint32(now / n.heatEpoch)
-	if e != n.curEpoch {
-		n.curEpoch = e
-		if n.retirer != nil {
-			n.retirer.RetireEpoch(now)
-		}
-	}
+	n.curEpoch = e
 	pg.decayTo(e)
 	if pg.heat[node] < heatCap {
 		pg.heat[node]++
-	}
-	if n.observer != nil {
-		n.observer.ObserveAccess(pg, proc, write, now)
 	}
 }
 
@@ -134,8 +87,8 @@ func (p *Page) decayTo(epoch uint32) {
 }
 
 // NodeHeat returns the page's decayed access count for node. Counters
-// are maintained only when the bound policy has the PageObserver or
-// Retirer capability; otherwise every node reads zero.
+// are maintained only when the bound policy is a ReconsideringPolicy;
+// otherwise every node reads zero.
 //
 //numalint:hotpath
 func (p *Page) NodeHeat(node int) uint32 { return p.heat[node] }
@@ -170,16 +123,3 @@ func (p *Page) HotNode() int {
 	}
 	return node
 }
-
-// PolicyWord returns the page's 64-bit policy scratch word: opaque
-// per-page state for adaptive policies (the bandit packs its per-arm
-// value estimates here), zeroed when the page record is created or
-// recycled.
-//
-//numalint:hotpath
-func (p *Page) PolicyWord() uint64 { return p.pword }
-
-// SetPolicyWord stores the page's policy scratch word.
-//
-//numalint:hotpath
-func (p *Page) SetPolicyWord(w uint64) { p.pword = w }

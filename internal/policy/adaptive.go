@@ -1,6 +1,7 @@
 // The adaptive policy zoo: counter-driven policies built on the NUMA
-// manager's per-page decaying access histograms and move counters
-// (numa.PageObserver and friends, see internal/numa/policyapi.go).
+// manager's per-page decaying access histograms and move counters,
+// which the manager keeps for any numa.ReconsideringPolicy (see
+// internal/numa/policyapi.go).
 //
 // Where the paper's Threshold pins on the lifetime move count — a
 // one-way door — these policies react to decayed counters, so a page
@@ -9,15 +10,12 @@
 //
 //   - DecayThreshold pins on the decaying move counter and unpins as
 //     it cools (the simplest possible adaptive fix to Threshold);
-//   - Bandit runs a per-page epsilon-greedy two-armed bandit over
-//     local-vs-global, in the spirit of MAO's learned approach;
 //   - Classifier splits pages into the literature's two regimes:
 //     read-mostly pages replicate locally, write-contended pages
 //     without a dominant accessor go global.
 //
 // Every method on these types runs on the protocol hot path and
-// allocates nothing; per-page learned state lives in the page's
-// 64-bit policy scratch word, pooled with the page record.
+// allocates nothing.
 package policy
 
 import (
@@ -36,8 +34,8 @@ const DefaultSweepInterval = 50 * sim.Millisecond
 // DecayThreshold is Threshold on the decaying move counter: a page is
 // pinned global while its decayed move heat meets the limit and comes
 // back to local memory once the heat has decayed away. Implementing
-// PageObserver turns the manager's heat counters on; implementing
-// ReconsideringPolicy gets pinned pages re-presented.
+// ReconsideringPolicy turns the manager's heat counters on and gets
+// pinned pages re-presented.
 type DecayThreshold struct {
 	Limit    uint32
 	Interval sim.Time
@@ -67,126 +65,10 @@ func (d *DecayThreshold) CachePolicy(pg *numa.Page, proc int, write bool, maxPro
 //numalint:coldpath formats a report label; the manager only calls Name when tracing is on
 func (d *DecayThreshold) Name() string { return fmt.Sprintf("decay-threshold(%d)", d.Limit) }
 
-// ObserveAccess implements numa.PageObserver. The decision needs only
-// the counters the manager maintains for any observer, so there is
-// nothing further to record.
-//
-//numalint:hotpath
-func (d *DecayThreshold) ObserveAccess(pg *numa.Page, proc int, write bool, now sim.Time) {}
-
 // ReconsiderInterval implements numa.ReconsideringPolicy.
 //
 //numalint:hotpath
 func (d *DecayThreshold) ReconsiderInterval() sim.Time { return d.Interval }
-
-// Bandit state packed into the page's policy scratch word.
-const (
-	banditQMax = 1<<16 - 1 // full reward: the arm behaved perfectly
-	// banditGlobalReward is the standing reward of the global arm: a
-	// pinned page never moves but pays global latency on every access,
-	// so the arm scores below a quiet local page (banditQMax) and above
-	// a ping-ponging one (toward 0).
-	banditGlobalReward = 40000
-)
-
-// Bandit is a per-page epsilon-greedy two-armed bandit over
-// local-vs-global placement, in the spirit of MAO's learned policies.
-// Each page carries two reward estimates in its policy scratch word:
-// the local arm is rewarded when a local placement survived without an
-// ownership move since the bandit's previous decision, the global arm
-// earns a fixed mid-scale reward (stable but slow). Exploration is
-// driven by a splitmix64 draw over the seed, the page id, the virtual
-// time and the decay epoch — deterministic at any host parallelism.
-type Bandit struct {
-	Eps      int    // exploration probability in percent
-	Seed     uint64 // exploration PRNG seed
-	Interval sim.Time
-
-	epoch uint64 // decay epochs seen, via the Retirer hook
-}
-
-// NewBandit returns a bandit exploring with the given probability
-// (percent) and PRNG seed.
-func NewBandit(epsPct int, seed uint64) *Bandit {
-	if epsPct < 0 || epsPct > 100 {
-		panic(fmt.Sprintf("policy: bandit eps %d%% outside [0,100]", epsPct))
-	}
-	return &Bandit{Eps: epsPct, Seed: seed, Interval: DefaultSweepInterval}
-}
-
-// mix64 is the splitmix64 finalizer (the chaos package's PRNG idiom):
-// a bijective avalanche over one 64-bit word.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// CachePolicy implements numa.Policy.
-//
-//numalint:hotpath
-func (b *Bandit) CachePolicy(pg *numa.Page, proc int, write bool, maxProt mmu.Prot) numa.Location {
-	if !maxProt.CanWrite() {
-		// Read-only data replicates; the bandit arbitrates only the
-		// writable pages whose placement actually trades off.
-		return numa.Local
-	}
-	w := pg.PolicyWord()
-	qLocal := uint32(w & 0xffff)
-	qGlobal := uint32(w >> 16 & 0xffff)
-	lastMoves := uint32(w >> 32 & 0xffff)
-	lastArm := uint32(w >> 48 & 1)
-	moves := uint32(uint64(pg.Moves()) & 0xffff)
-	if w>>49&1 == 1 {
-		// Settle the previous decision's reward (EWMA, 1/8 step).
-		if lastArm == 0 {
-			var reward uint32
-			if moves == lastMoves {
-				reward = banditQMax
-			}
-			qLocal = qLocal - qLocal/8 + reward/8
-		} else {
-			qGlobal = qGlobal - qGlobal/8 + banditGlobalReward/8
-		}
-	} else {
-		// Optimistic initialization: try local first.
-		qLocal, qGlobal = banditQMax, banditGlobalReward
-	}
-	arm := uint32(0)
-	if qGlobal > qLocal {
-		arm = 1
-	}
-	r := mix64(b.Seed ^ uint64(pg.ID())*0x9e3779b97f4a7c15 ^ uint64(pg.LastRequestAt()) ^ b.epoch<<48)
-	if int(r%100) < b.Eps {
-		arm = uint32(r>>32) & 1
-	}
-	pg.SetPolicyWord(uint64(qLocal) | uint64(qGlobal)<<16 | uint64(moves)<<32 | uint64(arm)<<48 | 1<<49)
-	if arm == 1 {
-		return numa.Global
-	}
-	return numa.Local
-}
-
-// Name implements numa.Policy.
-//
-//numalint:coldpath formats a report label; the manager only calls Name when tracing is on
-func (b *Bandit) Name() string { return fmt.Sprintf("bandit(%d%%,%d)", b.Eps, b.Seed) }
-
-// RetireEpoch implements numa.Retirer: each decay epoch re-salts the
-// exploration schedule, so a page stuck exploiting one arm gets fresh
-// draws over time.
-//
-//numalint:hotpath
-func (b *Bandit) RetireEpoch(now sim.Time) { b.epoch++ }
-
-// ReconsiderInterval implements numa.ReconsideringPolicy.
-//
-//numalint:hotpath
-func (b *Bandit) ReconsiderInterval() sim.Time { return b.Interval }
 
 // Classifier realizes the literature's two-regime rule directly:
 // read-mostly pages (never written, or mapped read-only) replicate
@@ -228,12 +110,6 @@ func (c *Classifier) CachePolicy(pg *numa.Page, proc int, write bool, maxProt mm
 //numalint:coldpath formats a report label; the manager only calls Name when tracing is on
 func (c *Classifier) Name() string { return fmt.Sprintf("classifier(%d)", c.Limit) }
 
-// ObserveAccess implements numa.PageObserver (the classifier needs the
-// manager's heat counters, nothing more).
-//
-//numalint:hotpath
-func (c *Classifier) ObserveAccess(pg *numa.Page, proc int, write bool, now sim.Time) {}
-
 // ReconsiderInterval implements numa.ReconsideringPolicy.
 //
 //numalint:hotpath
@@ -241,13 +117,6 @@ func (c *Classifier) ReconsiderInterval() sim.Time { return c.Interval }
 
 // Compile-time interface checks.
 var (
-	_ numa.Policy              = (*DecayThreshold)(nil)
-	_ numa.PageObserver        = (*DecayThreshold)(nil)
 	_ numa.ReconsideringPolicy = (*DecayThreshold)(nil)
-	_ numa.Policy              = (*Bandit)(nil)
-	_ numa.Retirer             = (*Bandit)(nil)
-	_ numa.ReconsideringPolicy = (*Bandit)(nil)
-	_ numa.Policy              = (*Classifier)(nil)
-	_ numa.PageObserver        = (*Classifier)(nil)
 	_ numa.ReconsideringPolicy = (*Classifier)(nil)
 )

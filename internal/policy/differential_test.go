@@ -1,8 +1,7 @@
 package policy_test
 
-// Differential tests for the Policy API redesign: a capability-free
-// policy must produce bit-identical runs whether or not it is wrapped
-// with no-op capabilities (heat tracking must be invisible).
+// Differential tests for the policy API: a wrapper policy must run
+// exactly like the policy it wraps.
 
 import (
 	"reflect"
@@ -18,29 +17,6 @@ import (
 	"numasim/internal/workloads"
 )
 
-// shimmed is Threshold plus no-op observer and retirer capabilities: it
-// makes the manager maintain the heat histograms and tick the epoch
-// clock without acting on either, so any divergence from the bare
-// policy is a redesign bug.
-type shimmed struct {
-	*policy.Threshold
-}
-
-// ObserveAccess implements numa.PageObserver.
-//
-//numalint:hotpath
-func (shimmed) ObserveAccess(pg *numa.Page, proc int, write bool, now sim.Time) {}
-
-// RetireEpoch implements numa.Retirer.
-//
-//numalint:hotpath
-func (shimmed) RetireEpoch(now sim.Time) {}
-
-var (
-	_ numa.PageObserver = shimmed{}
-	_ numa.Retirer      = shimmed{}
-)
-
 func runWith(t *testing.T, w metrics.Runner, pol numa.Policy) metrics.RunResult {
 	t.Helper()
 	cfg := ace.DefaultConfig()
@@ -54,23 +30,24 @@ func runWith(t *testing.T, w metrics.Runner, pol numa.Policy) metrics.RunResult 
 	return res
 }
 
-// TestCapabilityShimIsInvisible runs the same workloads under the bare
-// Threshold and the shimmed one; every measured field must match. This
-// is the differential proof that capability-free policies behave
-// identically before and after the redesign: the shim exercises the
-// entire counter-maintenance path the redesign added, and the results
-// may not move by a single count or tick.
-func TestCapabilityShimIsInvisible(t *testing.T) {
-	for _, mk := range []func() metrics.Runner{
-		func() metrics.Runner { return workloads.NewGfetch(12, 4) },
-		func() metrics.Runner { return workloads.NewZipf(0, 0, 0) },
-		func() metrics.Runner { return workloads.NewPhased(0, 0, 0) },
-	} {
-		bare := runWith(t, mk(), policy.NewDefault())
-		shim := runWith(t, mk(), shimmed{policy.NewDefault()})
-		if !reflect.DeepEqual(bare, shim) {
-			t.Errorf("%s: bare and shimmed Threshold diverge:\nbare: %+v\nshim: %+v",
-				bare.Workload, bare, shim)
+// TestPragmaForwardsCapability: on Zipf, which hints no page, the
+// pragma wrapper must run exactly like the policy it wraps, including a
+// fallback that decays heat or defrosts pinned pages.
+func TestPragmaForwardsCapability(t *testing.T) {
+	for _, spec := range []string{"decaythreshold", "freezedefrost"} {
+		bare, err := policy.Parse(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wrapped, err := policy.Parse("pragma:fallback=" + spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := runWith(t, workloads.NewZipf(0, 0, 0), bare)
+		got := runWith(t, workloads.NewZipf(0, 0, 0), wrapped)
+		got.Policy = want.Policy // the names differ by the "pragma+" prefix
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("pragma:fallback=%s diverges from %s:\npragma: %+v\nbare:   %+v", spec, spec, got, want)
 		}
 	}
 }
@@ -79,7 +56,7 @@ func TestCapabilityShimIsInvisible(t *testing.T) {
 // CachePolicy against a live manager page and checks the answers stay
 // within the protocol's vocabulary.
 func TestAdaptivePoliciesAnswerSanely(t *testing.T) {
-	for _, spec := range []string{"decaythreshold", "bandit", "classifier"} {
+	for _, spec := range []string{"decaythreshold", "classifier"} {
 		pol, err := policy.Parse(spec)
 		if err != nil {
 			t.Fatal(err)

@@ -142,6 +142,11 @@ func (p *Pragma) CachePolicy(pg *numa.Page, proc int, write bool, maxProt mmu.Pr
 //numalint:coldpath formats a report label; the manager only calls Name when tracing is on
 func (p *Pragma) Name() string { return "pragma+" + p.Fallback.Name() }
 
+// Unwrap returns the fallback policy, so the NUMA manager binds the
+// fallback's capability (a decaying or defrosting fallback keeps its
+// defrost sweep and heat counters under the pragma wrapper).
+func (p *Pragma) Unwrap() numa.Policy { return p.Fallback }
+
 // Reconsider is the §5 extension: like Threshold, but every Period requests
 // that find a page pinned it forgives the page's accumulated moves, giving
 // the page another chance to live in local memory. This models

@@ -139,21 +139,6 @@ func (a *Args) Int(key string, def int) int {
 	return v
 }
 
-// Uint64 returns the unsigned parameter key (seeds), or def when absent.
-func (a *Args) Uint64(key string, def uint64) uint64 {
-	a.used[key] = true
-	s, ok := a.kv[key]
-	if !ok {
-		return def
-	}
-	v, err := strconv.ParseUint(s, 0, 64)
-	if err != nil {
-		a.fail("policy %s: %s=%q: want an unsigned integer", a.policy, key, s)
-		return def
-	}
-	return v
-}
-
 // Millis returns the duration parameter key, given as integer virtual
 // milliseconds, or def when absent.
 func (a *Args) Millis(key string, def sim.Time) sim.Time {
@@ -175,6 +160,12 @@ func (a *Args) Millis(key string, def sim.Time) sim.Time {
 // parameters ride along: "pragma:fallback=threshold,limit=2".
 func (a *Args) Policy(key, def string) numa.Policy {
 	name := strings.ToLower(a.Str(key, def))
+	if name == strings.ToLower(a.policy) {
+		// The argument list is shared, so the inner instance would read
+		// the same key and build itself again, without end.
+		a.fail("policy %s: %s=%q: a policy cannot wrap itself", a.policy, key, name)
+		return NewDefault()
+	}
 	sp, ok := registry[name]
 	if !ok {
 		a.fail("policy %s: %s=%q: unknown policy (known: %s)",
@@ -319,24 +310,6 @@ func init() {
 			d := NewDecayThreshold(limit)
 			d.Interval = a.Millis("interval", d.Interval)
 			return d, nil
-		},
-	})
-	Register(Spec{
-		Name: "bandit",
-		Doc:  "per-page epsilon-greedy local-vs-global bandit (MAO's spirit)",
-		Params: []Param{
-			{Key: "eps", Default: "10", Doc: "exploration probability, percent"},
-			{Key: "seed", Default: "1", Doc: "exploration PRNG seed"},
-			{Key: "interval", Default: "50", Doc: "defrost sweep period, virtual ms"},
-		},
-		New: func(a *Args) (numa.Policy, error) {
-			eps := a.Int("eps", 10)
-			if eps < 0 || eps > 100 {
-				return nil, fmt.Errorf("policy bandit: eps %d%% outside [0,100]", eps)
-			}
-			b := NewBandit(eps, a.Uint64("seed", 1))
-			b.Interval = a.Millis("interval", b.Interval)
-			return b, nil
 		},
 	})
 	Register(Spec{

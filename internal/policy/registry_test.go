@@ -18,9 +18,9 @@ func TestParseErrors(t *testing.T) {
 		{"threshold:limit=banana", "want an integer"},
 		{"threshold:limit", "malformed parameter"},
 		{"threshold:=3", "malformed parameter"},
-		{"bandit:seed=-1", "want an unsigned integer"},
 		{"decaythreshold:interval=-5", "non-negative"},
 		{"pragma:fallback=no-such-policy", "unknown policy"},
+		{"pragma:fallback=pragma", "cannot wrap itself"},
 	}
 	for _, c := range cases {
 		if _, err := Parse(c.spec); err == nil {
@@ -41,7 +41,7 @@ func TestParseSpellings(t *testing.T) {
 		{"threshold", "threshold(4)"},
 		{"Threshold : limit=2", "threshold(2)"},
 		{"THRESHOLD:limit=2,", "threshold(2)"},
-		{"bandit:eps=25,seed=9", "bandit(25%,9)"},
+		{"pragma:fallback=decaythreshold,limit=8", "pragma+decay-threshold(8)"},
 		{"pragma:fallback=threshold,limit=2", "pragma+threshold(2)"},
 	}
 	for _, c := range cases {
@@ -65,8 +65,7 @@ func TestRegistryCatalog(t *testing.T) {
 	}
 	for _, want := range []string{
 		"threshold", "neverpin", "allglobal", "alllocal", "pragma",
-		"reconsider", "freezedefrost", "decaythreshold", "bandit",
-		"classifier",
+		"reconsider", "freezedefrost", "decaythreshold", "classifier",
 	} {
 		found := false
 		for _, n := range names {
@@ -79,7 +78,7 @@ func TestRegistryCatalog(t *testing.T) {
 		}
 	}
 	usage := Usage()
-	for _, want := range []string{"threshold", "limit=", "eps=", "fallback=", "interval="} {
+	for _, want := range []string{"threshold", "limit=", "period=", "fallback=", "interval="} {
 		if !strings.Contains(usage, want) {
 			t.Errorf("Usage() missing %q:\n%s", want, usage)
 		}

@@ -137,15 +137,15 @@ func TestHotPathRootsZeroAlloc(t *testing.T) {
 }
 
 // TestHeatPathZeroAlloc extends the guard to the adaptive-policy
-// machinery: with a capability-bearing policy bound — an observer
-// (decaythreshold) or an epoch retirer (bandit) — the steady-state
-// refault path, which now also decays and bumps the heat histograms and
-// runs the bound capability, must still allocate nothing per access.
+// machinery: with a reconsidering policy bound, directly
+// (decaythreshold) or through the pragma wrapper, the steady-state
+// refault path, which now also decays and bumps the heat histograms,
+// must still allocate nothing per access.
 func TestHeatPathZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime allocates on the hot path; guard runs in non-race CI")
 	}
-	for _, spec := range []string{"decaythreshold", "bandit"} {
+	for _, spec := range []string{"decaythreshold", "pragma:fallback=decaythreshold"} {
 		pol, err := policy.Parse(spec)
 		if err != nil {
 			t.Fatal(err)
