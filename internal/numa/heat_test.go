@@ -91,6 +91,40 @@ func TestHeatDecayLargeJumpZeroes(t *testing.T) {
 	}
 }
 
+// TestHeatDecayIgnoresEarlierEpochs: a request from a thread behind in
+// virtual time carries an epoch before the page's own. It must decay
+// nothing (an unsigned shift would wrap and zero every counter), and
+// the manager's epoch must not move backwards.
+func TestHeatDecayIgnoresEarlierEpochs(t *testing.T) {
+	n := &Manager{heatEpoch: DefaultHeatEpoch}
+	pg := &Page{heat: make([]uint32, 2)}
+	for i := 0; i < 8; i++ {
+		n.bumpHeat(pg, 0, 138*DefaultHeatEpoch)
+	}
+	pg.moveHeat = 5
+	n.bumpHeat(pg, 1, 137*DefaultHeatEpoch)
+	if pg.heat[0] != 8 || pg.heat[1] != 1 || pg.moveHeat != 5 {
+		t.Errorf("heat %v, moveHeat %d after a request one epoch behind; want [8 1] and 5",
+			pg.heat, pg.moveHeat)
+	}
+	if pg.heatEpoch != 138 {
+		t.Errorf("page epoch %d, want 138", pg.heatEpoch)
+	}
+	if n.curEpoch != 138 {
+		t.Errorf("manager epoch %d after a request one epoch behind, want 138", n.curEpoch)
+	}
+	// decayTo on its own ignores an epoch before the page's.
+	pg.decayTo(100)
+	if pg.heat[0] != 8 || pg.heatEpoch != 138 {
+		t.Errorf("decayTo(100) on a page at epoch 138: heat %v, epoch %d", pg.heat, pg.heatEpoch)
+	}
+	// The next epoch still halves as usual.
+	n.bumpHeat(pg, 1, 139*DefaultHeatEpoch)
+	if pg.heat[0] != 4 || pg.heat[1] != 1 || pg.moveHeat != 2 {
+		t.Errorf("heat %v, moveHeat %d one epoch on; want [4 1] and 2", pg.heat, pg.moveHeat)
+	}
+}
+
 func TestHeatAccessors(t *testing.T) {
 	pg := &Page{heat: []uint32{3, 9, 9, 1}, moveHeat: 5}
 	if got := pg.TotalHeat(); got != 22 {

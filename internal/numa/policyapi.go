@@ -51,24 +51,29 @@ func (n *Manager) bindCapabilities(pol Policy) {
 // bumpHeat maintains the decaying counters for one request. Called
 // from Access only when trackHeat is set, before the policy is
 // consulted, so the policy sees counters current through the present
-// access.
+// access. The decay clock is the manager's epoch, the latest any request
+// has reached: threads run out of virtual-time order within a dispatch
+// slice, and a request from a thread behind that epoch must neither
+// turn the clock back nor skip the decay already due.
 //
 //numalint:hotpath
 func (n *Manager) bumpHeat(pg *Page, node int, now sim.Time) {
-	e := uint32(now / n.heatEpoch)
-	n.curEpoch = e
-	pg.decayTo(e)
+	if e := uint32(now / n.heatEpoch); e > n.curEpoch {
+		n.curEpoch = e
+	}
+	pg.decayTo(n.curEpoch)
 	if pg.heat[node] < heatCap {
 		pg.heat[node]++
 	}
 }
 
 // decayTo applies the lazy shift decay: every epoch elapsed since the
-// page was last touched halves every counter.
+// page was last touched halves every counter. An epoch at or before the
+// page's own decays nothing.
 //
 //numalint:hotpath
 func (p *Page) decayTo(epoch uint32) {
-	if epoch == p.heatEpoch {
+	if epoch <= p.heatEpoch {
 		return
 	}
 	shift := epoch - p.heatEpoch
