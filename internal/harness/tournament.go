@@ -47,9 +47,11 @@ type TournamentRow struct {
 	// Policy is the registry spec the cell ran, so every row can be
 	// re-run with -policy.
 	Policy string
-	// Rank is the policy's 1-based position within its (topology,
-	// workload) group, ranked by ascending user time (ties broken by
-	// system time, then policy name).
+	// Rank is the policy's 1-based standing within its (topology,
+	// workload) group by ascending user time, then system time. Rows
+	// equal on both share a rank and the next rank is skipped
+	// (competition ranking: 1, 2, 2, 4); within a tie rows are listed by
+	// policy name.
 	Rank      int
 	UserSec   sim.Ticks
 	SysSec    sim.Ticks
@@ -140,25 +142,36 @@ func tournamentGrid(opts Options, topos, works, pols []string) (TournamentResult
 	// grouped by construction: consecutive runs of len(pols).
 	group := len(pols)
 	for start := 0; start < len(rows); start += group {
-		g := rows[start : start+group]
-		sort.SliceStable(g, func(a, b int) bool {
-			if g[a].UserSec != g[b].UserSec {
-				return g[a].UserSec < g[b].UserSec
-			}
-			if g[a].SysSec != g[b].SysSec {
-				return g[a].SysSec < g[b].SysSec
-			}
-			return g[a].Policy < g[b].Policy
-		})
-		for i := range g {
-			g[i].Rank = i + 1
-		}
+		rankGroup(rows[start : start+group])
 	}
 
 	return TournamentResult{Rows: rows, Board: leaderboard(rows)}, nil
 }
 
-// leaderboard aggregates ranks per policy across the grid.
+// rankGroup sorts one (topology, workload) group by user time, then
+// system time, then policy name, and assigns competition ranks: rows
+// tied on both times share the rank of the first of them.
+func rankGroup(g []TournamentRow) {
+	sort.SliceStable(g, func(a, b int) bool {
+		if g[a].UserSec != g[b].UserSec {
+			return g[a].UserSec < g[b].UserSec
+		}
+		if g[a].SysSec != g[b].SysSec {
+			return g[a].SysSec < g[b].SysSec
+		}
+		return g[a].Policy < g[b].Policy
+	})
+	for i := range g {
+		if i > 0 && g[i].UserSec == g[i-1].UserSec && g[i].SysSec == g[i-1].SysSec {
+			g[i].Rank = g[i-1].Rank
+		} else {
+			g[i].Rank = i + 1
+		}
+	}
+}
+
+// leaderboard aggregates ranks per policy across the grid; every row
+// ranked first, tied or not, counts as a win.
 func leaderboard(rows []TournamentRow) []LeaderRow {
 	sums := map[string]*LeaderRow{}
 	counts := map[string]int{}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -40,8 +41,9 @@ func TestTournamentParallelDeterminism(t *testing.T) {
 }
 
 // TestTournamentShape checks the structural contract: every cell is
-// ranked 1..len(policies) within its group, the leaderboard covers every
-// policy exactly once, and the renders carry the grid.
+// competition-ranked within its group (rank i+1 at position i, or the
+// previous row's rank when tied with it on both times), the leaderboard
+// covers every policy exactly once, and the renders carry the grid.
 func TestTournamentShape(t *testing.T) {
 	res, err := tournamentGrid(Options{NProc: 3, Small: true}, testTopos, testWorks, testPols)
 	if err != nil {
@@ -52,20 +54,16 @@ func TestTournamentShape(t *testing.T) {
 	}
 	group := len(testPols)
 	for start := 0; start < len(res.Rows); start += group {
-		seen := map[int]bool{}
-		for _, row := range res.Rows[start : start+group] {
-			if row.Rank < 1 || row.Rank > group {
-				t.Errorf("%s/%s/%s: rank %d out of range", row.Topology, row.Workload, row.Policy, row.Rank)
+		for i, row := range res.Rows[start : start+group] {
+			want := i + 1
+			if i > 0 {
+				prev := res.Rows[start+i-1]
+				if row.UserSec == prev.UserSec && row.SysSec == prev.SysSec {
+					want = prev.Rank
+				}
 			}
-			if seen[row.Rank] {
-				t.Errorf("%s/%s: duplicate rank %d", row.Topology, row.Workload, row.Rank)
-			}
-			seen[row.Rank] = true
-		}
-		// Within a group the rows are sorted by rank.
-		for i := start + 1; i < start+group; i++ {
-			if res.Rows[i].Rank != res.Rows[i-1].Rank+1 {
-				t.Errorf("group at %d: ranks not consecutive", start)
+			if row.Rank != want {
+				t.Errorf("%s/%s/%s: rank %d, want %d", row.Topology, row.Workload, row.Policy, row.Rank, want)
 			}
 		}
 	}
@@ -84,6 +82,34 @@ func TestTournamentShape(t *testing.T) {
 	}
 	if got, want := strings.Count(csv, "\n"), len(res.Rows)+1; got != want {
 		t.Errorf("CSV has %d lines, want %d", got, want)
+	}
+}
+
+// TestTiedRowsShareRank: rows equal on user and system time share the
+// rank of the first of them, the next rank is skipped, and every row
+// tied at the top is credited with a win.
+func TestTiedRowsShareRank(t *testing.T) {
+	g := []TournamentRow{
+		{Policy: "d", UserSec: 2, SysSec: 1},
+		{Policy: "c", UserSec: 1, SysSec: 5},
+		{Policy: "b", UserSec: 1, SysSec: 5},
+		{Policy: "e", UserSec: 2, SysSec: 1},
+		{Policy: "a", UserSec: 2, SysSec: 0},
+	}
+	rankGroup(g)
+	var got []string
+	for _, r := range g {
+		got = append(got, fmt.Sprintf("%d:%s", r.Rank, r.Policy))
+	}
+	if want := "1:b 1:c 3:a 4:d 4:e"; strings.Join(got, " ") != want {
+		t.Errorf("ranks %q, want %q", strings.Join(got, " "), want)
+	}
+	wins := map[string]int{}
+	for _, lr := range leaderboard(g) {
+		wins[lr.Policy] = lr.Wins
+	}
+	if wins["b"] != 1 || wins["c"] != 1 || wins["a"] != 0 {
+		t.Errorf("wins %v, want one each for the tied leaders b and c", wins)
 	}
 }
 
