@@ -134,15 +134,17 @@ topo:
 # tournament is the policy-zoo gate: the ranked grid must be
 # byte-identical at any -parallel (reconsider carries per-run state,
 # its per-page reprieve counts, so this also proves no state leaks
-# across the worker pool), the capability fuzz must hold,
-# and at least one adaptive policy must beat the fixed threshold on the
-# skewed Zipf probe.
+# across the worker pool), tied rows must share a rank, the capability
+# fuzz and the heat-counter tests must hold, pragma must forward its
+# fallback's capability, and at least one adaptive policy must beat the
+# fixed threshold on the skewed Zipf probe.
 tournament:
 	$(GO) run ./cmd/tables -small -nproc 3 -exp tournament -csv -parallel 1 > /tmp/tournament_p1.csv
 	$(GO) run ./cmd/tables -small -nproc 3 -exp tournament -csv -parallel 8 > /tmp/tournament_p8.csv
 	cmp /tmp/tournament_p1.csv /tmp/tournament_p8.csv
-	$(GO) test -race -count=1 -run 'TestTournament|TestAdaptiveBeatsThresholdOnZipf' ./internal/harness/
-	$(GO) test -race -count=1 -run 'TestProtocolFuzzCapabilities|TestHeatDecay' ./internal/numa/
+	$(GO) test -race -count=1 -run 'TestTournament|TestTiedRowsShareRank|TestAdaptiveBeatsThresholdOnZipf' ./internal/harness/
+	$(GO) test -race -count=1 -run 'TestProtocolFuzzCapabilities|TestHeat' ./internal/numa/
+	$(GO) test -race -count=1 -run 'TestPragmaForwardsCapability' ./internal/policy/
 
 # avail is the degraded-mode gate: the availability sweep (every Table 3
 # app plus Zipf through single-loss, rolling-loss and link-brownout
