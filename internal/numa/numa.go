@@ -100,7 +100,8 @@ func (l Location) String() string {
 // and then so accesses fault and re-consult it. The manager runs an
 // amortized sweep — the moral equivalent of PLATINUM's defrost daemon —
 // dropping mappings of pages that have been pinned and unexamined for the
-// given interval.
+// given interval. Binding it also turns on the per-page decaying heat
+// counters that a policy deciding when to unpin reads (policyapi.go).
 type ReconsideringPolicy interface {
 	Policy
 	ReconsiderInterval() sim.Time
