@@ -97,10 +97,14 @@ bench-json:
 # bench-ci is the perf gate: re-measure the reduced hot-path set and
 # compare against the committed baseline. Exit 1 on any >$(BENCHDIFF_TOL)
 # ns/op or allocs/op regression (a zero-alloc path must stay zero).
+# Each gate that writes scratch files does so in its own mktemp -d
+# directory, removed on exit, so concurrent checkouts never compare each
+# other's files.
 bench-ci:
+	dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(GO) test -bench $(BENCH_CI_FILTER) -benchtime $(BENCH_CI_TIME) -benchmem -run '^$$' . \
-		| $(GO) run ./cmd/benchjson -o /tmp/bench_ci.json
-	$(GO) run ./cmd/benchdiff -tolerance $(BENCHDIFF_TOL) BENCH_baseline.json /tmp/bench_ci.json
+		| $(GO) run ./cmd/benchjson -o "$$dir/bench_ci.json" && \
+	$(GO) run ./cmd/benchdiff -tolerance $(BENCHDIFF_TOL) BENCH_baseline.json "$$dir/bench_ci.json"
 
 # layers quotes where host CPU goes, layer by layer, on the run users wait
 # for (full Table 3 on the ACE). A perf change quotes it before and after.
@@ -123,9 +127,11 @@ audit:
 
 # topo is the topology gate: the behaviour manifest (ACE Table 3 and
 # Figure 1 among it) must stay byte-identical through the generalized
-# topology path, the protocol fuzz must hold on random multi-node
-# machines, and the link model's conservation, monotonicity and
-# determinism properties must pass — all under -race.
+# topology path, every link of its contended runs must hold the
+# closed-system bound (TestManifestLinkBound), the protocol fuzz must
+# hold on random multi-node machines, and the link model's conservation,
+# monotonicity, determinism, arrival-order and bound tests must pass —
+# all under -race.
 topo:
 	$(GO) test -race -count=1 -run 'TestManifest|TestTable3ACEExplicitTopology|TestTopologyParallelDeterminism' ./internal/harness/
 	$(GO) test -race -count=1 -run 'TestProtocolFuzzTopology' ./internal/numa/
@@ -139,9 +145,10 @@ topo:
 # fallback's capability, and at least one adaptive policy must beat the
 # fixed threshold on the skewed Zipf probe.
 tournament:
-	$(GO) run ./cmd/tables -small -nproc 3 -exp tournament -csv -parallel 1 > /tmp/tournament_p1.csv
-	$(GO) run ./cmd/tables -small -nproc 3 -exp tournament -csv -parallel 8 > /tmp/tournament_p8.csv
-	cmp /tmp/tournament_p1.csv /tmp/tournament_p8.csv
+	dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) run ./cmd/tables -small -nproc 3 -exp tournament -csv -parallel 1 > "$$dir/p1.csv" && \
+	$(GO) run ./cmd/tables -small -nproc 3 -exp tournament -csv -parallel 8 > "$$dir/p8.csv" && \
+	cmp "$$dir/p1.csv" "$$dir/p8.csv"
 	$(GO) test -race -count=1 -run 'TestTournament|TestTiedRowsShareRank|TestAdaptiveBeatsThresholdOnZipf' ./internal/harness/
 	$(GO) test -race -count=1 -run 'TestProtocolFuzzCapabilities|TestHeat' ./internal/numa/
 	$(GO) test -race -count=1 -run 'TestPragmaForwardsCapability' ./internal/policy/
@@ -152,8 +159,9 @@ tournament:
 # failure-schedule fuzz (-short subset), the evacuation property tests
 # and the rerouting unit tests must hold under -race.
 avail:
-	$(GO) run ./cmd/tables -small -nproc 4 -exp availability -csv -parallel 1 > /tmp/avail_p1.csv
-	$(GO) run ./cmd/tables -small -nproc 4 -exp availability -csv -parallel 8 > /tmp/avail_p8.csv
-	cmp /tmp/avail_p1.csv /tmp/avail_p8.csv
+	dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) run ./cmd/tables -small -nproc 4 -exp availability -csv -parallel 1 > "$$dir/p1.csv" && \
+	$(GO) run ./cmd/tables -small -nproc 4 -exp availability -csv -parallel 8 > "$$dir/p8.csv" && \
+	cmp "$$dir/p1.csv" "$$dir/p8.csv"
 	$(GO) test -race -count=1 -short -run 'TestProtocolFuzzFailure|TestEvacuation|TestRevivedNodeStartsCold' ./internal/numa/
 	$(GO) test -race -count=1 -run 'TestMeshDetour|TestFullyConnectedRelay|TestNodeDownSeversIncidentLinks|TestDegradedChargeDeterminism|TestInterleaveSkipsOfflineNodes' ./internal/topology/

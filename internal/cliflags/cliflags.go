@@ -51,7 +51,7 @@ func Bind(fs *flag.FlagSet) *Common {
 	fs.DurationVar(&c.chaosStallAt, "chaos-stall-at", 0, "inject one virtual-time stall at this virtual time (watchdog drill; 0 disables)")
 	fs.StringVar(&c.chaosNodeFail, "chaos-node-fail", "", "node failure schedule: comma-separated NODE@OFF[-ON] virtual times, e.g. 2@10ms-60ms")
 	fs.StringVar(&c.chaosLinkFail, "chaos-link-fail", "", "link failure schedule: comma-separated LINK@AT[xFACTOR][-RESTORE], e.g. node0-node1@5msx4-9ms")
-	fs.IntVar(&c.audit, "audit", 0, "online protocol-audit sampling stride (0: off, 1: audit every protocol action, N: sampled)")
+	fs.IntVar(&c.audit, "audit", 0, "online protocol-audit sampling stride (0: off, 1: audit every protocol action, N: sampled); any N > 0 also fails a run whose links break the closed-system bound")
 	fs.DurationVar(&c.timeout, "timeout", 0, "wall-clock budget per supervised run (0: none)")
 	fs.IntVar(&c.retries, "retries", 0, "re-run a failed unit up to this many times before giving up")
 	fs.StringVar(&c.reproDir, "repro-dir", "", "write a repro bundle for each failed run into this directory (implies -keep-going)")

@@ -4,8 +4,10 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
+	"numasim/internal/ace"
 	"numasim/internal/chaos"
 )
 
@@ -94,6 +96,52 @@ func TestManifest(t *testing.T) {
 			if got != string(want) {
 				t.Errorf("%s diverged from %s.\ngot:\n%s\nwant:\n%s", c.name, path, got, want)
 			}
+		})
+	}
+}
+
+// TestManifestLinkBound replays the manifest cases that run on contended
+// topologies and checks every machine they built against the link
+// model's closed-system bound (topology.CheckBound): no hop waited more
+// than NProcs-1 of the largest service booked on its link.
+func TestManifestLinkBound(t *testing.T) {
+	contended := map[string]bool{
+		"tournament": true, "availability": true,
+		"table3_mesh8": true, "thresholdsweep_zipf_4socket_nodefail": true,
+	}
+	for _, c := range manifestCases(t) {
+		if !contended[c.name] {
+			continue
+		}
+		t.Run(c.name, func(t *testing.T) {
+			e, ok := Lookup(c.exp)
+			if !ok {
+				t.Fatalf("no experiment %q", c.exp)
+			}
+			var mu sync.Mutex
+			var machines []*ace.Machine
+			opts := c.opts
+			opts.onMachine = func(m *ace.Machine) {
+				mu.Lock()
+				machines = append(machines, m)
+				mu.Unlock()
+			}
+			if _, err := e.Run(opts); err != nil {
+				t.Fatal(err)
+			}
+			var hops uint64
+			for _, m := range machines {
+				if err := m.Topo().CheckBound(); err != nil {
+					t.Error(err)
+				}
+				for _, l := range m.Topo().LinkStats() {
+					hops += l.Xfers
+				}
+			}
+			if hops == 0 {
+				t.Fatal("no transfer crossed a link; the bound was never exercised")
+			}
+			t.Logf("%d machines, %d hops within the bound", len(machines), hops)
 		})
 	}
 }

@@ -62,7 +62,9 @@ type RunSpec struct {
 	Chaos chaos.Config
 	// Audit enables the NUMA manager's online auditor at this sampling
 	// stride: 1 audits after every protocol action, larger strides sample,
-	// 0 leaves auditing off.
+	// 0 leaves auditing off. At any positive stride a finished run whose
+	// links break the closed-system bound (topology.CheckBound) is an
+	// error.
 	Audit int
 	// Forensics attaches a per-run forensic ring buffer and converts any
 	// failure into a *RunError carrying the ring contents and a rendered
@@ -207,6 +209,11 @@ func Run(w Runner, spec RunSpec) (RunResult, error) {
 			return RunResult{}, re
 		}
 		return RunResult{}, err
+	}
+	if spec.Audit > 0 {
+		if err := machine.Topo().CheckBound(); err != nil {
+			return RunResult{}, fmt.Errorf("metrics: %s under %s: audit: %w", w.Name(), spec.Policy.Name(), err)
+		}
 	}
 	var enters uint64
 	for i := 0; i < machine.NProc(); i++ {

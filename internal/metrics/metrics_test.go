@@ -2,6 +2,7 @@ package metrics_test
 
 import (
 	"math"
+	"sort"
 	"strings"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"numasim/internal/policy"
 	"numasim/internal/sched"
 	"numasim/internal/sim"
+	"numasim/internal/simtrace"
 	"numasim/internal/workloads"
 )
 
@@ -171,5 +173,95 @@ func TestEvaluatorEndToEnd(t *testing.T) {
 	// The cross-check: the true local fraction should be low for Gfetch.
 	if e.MeasuredLocalFrac > 0.3 {
 		t.Errorf("measured local fraction = %.2f, want near 0", e.MeasuredLocalFrac)
+	}
+}
+
+// TestProcessorRunsOneThreadAtATime checks the premise of the link
+// model's closed-system bound (topology.CheckBound): link charges are
+// synchronous, so a processor has at most one transfer in flight as
+// long as the threads sharing it never run at overlapping virtual
+// times. With two workers per processor on a contended machine, every
+// processor's run spans must be disjoint. Across processors they are
+// not: a span dispatched later starts before an earlier one ends, so
+// transfers reach the links out of virtual-time order.
+func TestProcessorRunsOneThreadAtATime(t *testing.T) {
+	cfg := ace.DefaultConfig()
+	cfg.NProc = 4
+	cfg.Topology = "mesh8"
+	cfg.GlobalFrames = 512
+	cfg.LocalFrames = 256
+	sink := &simtrace.ListSink{}
+	if _, err := metrics.Run(workloads.NewIMatMult(12), metrics.RunSpec{
+		Config: cfg, Policy: policy.NewDefault(), Workers: 8, Sched: sched.Affinity, TraceSink: sink,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// A thread binds to its processor inside its first span, so that
+	// span's start is when it asked for the processor, not when it got
+	// it; only its end is checked.
+	type span struct {
+		thread     int32
+		start, end int64
+		first      bool
+	}
+	spans := make([][]span, cfg.NProc)
+	seen := map[int32]bool{}
+	var latest int64
+	outOfOrder := false
+	for _, ev := range sink.Events() {
+		if ev.Kind != simtrace.KindSpan || ev.Proc < 0 {
+			continue
+		}
+		spans[ev.Proc] = append(spans[ev.Proc], span{ev.Thread, ev.Time, ev.Time + ev.Dur, !seen[ev.Thread]})
+		seen[ev.Thread] = true
+		outOfOrder = outOfOrder || ev.Time < latest
+		latest = max(latest, ev.Time+ev.Dur)
+	}
+	for proc, ss := range spans {
+		threads := map[int32]bool{}
+		sort.Slice(ss, func(i, j int) bool { return ss[i].end < ss[j].end })
+		for i, s := range ss {
+			threads[s.thread] = true
+			if i > 0 && !s.first && s.start < ss[i-1].end {
+				t.Fatalf("cpu%d: thread %d ran from %d ns while thread %d ran until %d ns",
+					proc, s.thread, s.start, ss[i-1].thread, ss[i-1].end)
+			}
+		}
+		if len(threads) < 2 {
+			t.Errorf("cpu%d ran %d threads; the check needs processors shared by threads", proc, len(threads))
+		}
+	}
+	if !outOfOrder {
+		t.Error("no span started before an earlier-dispatched span ended; the run never interleaved")
+	}
+}
+
+// TestAuditRejectsBrokenLinkBound: with auditing on, a run whose links
+// broke the closed-system bound is an error; with auditing off the same
+// run succeeds. The machine hook breaks the bound by issuing three
+// page transfers from one processor at once on a 2-CPU machine, so the
+// third waits two services where the bound allows one.
+func TestAuditRejectsBrokenLinkBound(t *testing.T) {
+	cfg := ace.DefaultConfig()
+	cfg.NProc = 2
+	cfg.Topology = "4socket"
+	cfg.GlobalFrames = 512
+	cfg.LocalFrames = 256
+	overlap := func(m *ace.Machine) {
+		for i := 0; i < 3; i++ {
+			m.Topo().ChargeTransfer(0, 0, 1, cfg.PageSize)
+		}
+	}
+	for _, audit := range []int{0, 1 << 20} {
+		_, err := metrics.Run(workloads.NewParMult(4, 4), metrics.RunSpec{
+			Config: cfg, Policy: policy.NewDefault(), Workers: 2, Sched: sched.Affinity,
+			Audit: audit, OnMachine: overlap,
+		})
+		switch {
+		case audit == 0 && err != nil:
+			t.Errorf("unaudited run: %v", err)
+		case audit > 0 && (err == nil || !strings.Contains(err.Error(), "node0-node1")):
+			t.Errorf("audited run: err = %v, want the bound violation on node0-node1", err)
+		}
 	}
 }

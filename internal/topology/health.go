@@ -1,13 +1,8 @@
-// Degraded-mode runtime health: a node health mask, per-link capacity
-// overrides, and deterministic rerouting around severed links. All state
-// here lives on the per-machine Topology, never on the shared Spec — a
-// failure schedule degrades one machine without touching its siblings in
-// a parallel sweep.
-//
-// The inertness contract: a Topology with no health mutations keeps
-// degraded == false, allocates nothing, and ChargeTransfer's healthy path
-// is byte-for-byte the PR 8 behaviour. Every degraded branch is guarded
-// by the single bool.
+// Runtime health: a node health mask, per-link capacity overrides, and
+// deterministic rerouting around severed links. All state here lives on
+// the per-machine Topology, never on the shared Spec — a failure
+// schedule degrades one machine without touching its siblings in a
+// parallel sweep.
 package topology
 
 import "numasim/internal/sim"
@@ -22,44 +17,27 @@ func (s *Spec) LinkIndex(name string) (int, bool) {
 	return -1, false
 }
 
-// Degraded reports whether any health mutation has ever been applied.
-func (t *Topology) Degraded() bool { return t.degraded }
-
-// NodeHealthy reports whether node is online. Always true on a machine
-// with no health mutations.
+// NodeHealthy reports whether node is online.
 //
 //numalint:hotpath
-func (t *Topology) NodeHealthy(node int) bool {
-	return !t.degraded || !t.nodeDown[node]
-}
+func (t *Topology) NodeHealthy(node int) bool { return !t.nodeDown[node] }
 
 // LinkSevered reports whether link li is unusable (explicitly severed or
 // an endpoint node is down).
-func (t *Topology) LinkSevered(li int) bool {
-	return t.degraded && t.linkDown[li]
-}
+func (t *Topology) LinkSevered(li int) bool { return t.linkDown[li] }
 
 // LinkPerByte returns link li's current per-byte service time, including
 // any degrade override.
-func (t *Topology) LinkPerByte(li int) sim.Time {
-	if t.degraded {
-		return t.perByte[li]
-	}
-	return t.spec.links[li].PerByte
-}
+func (t *Topology) LinkPerByte(li int) sim.Time { return t.perByte[li] }
 
-// Route returns the current route between two nodes (the runtime route
-// when degraded, the spec route otherwise). The slice is owned by the
-// topology and must not be mutated; nil means the pair exchanges traffic
-// without a modelled link.
+// Route returns the current route between two nodes. The slice is owned
+// by the topology and must not be mutated; nil means the pair exchanges
+// traffic without a modelled link.
 func (t *Topology) Route(src, dst int) []int {
 	if src == dst {
 		return nil
 	}
-	if t.degraded {
-		return t.routes[src*t.spec.nnodes+dst]
-	}
-	return t.spec.routes[src*t.spec.nnodes+dst]
+	return t.routes[src*t.spec.nnodes+dst]
 }
 
 // SetNodeHealth marks node offline (healthy == false) or back online.
@@ -67,7 +45,6 @@ func (t *Topology) Route(src, dst int) []int {
 // recompute deterministically around the loss. Re-onlining restores the
 // incident links unless they were independently severed.
 func (t *Topology) SetNodeHealth(node int, healthy bool) {
-	t.ensureDegraded()
 	t.nodeDown[node] = !healthy
 	t.refreshLinks()
 }
@@ -76,7 +53,6 @@ func (t *Topology) SetNodeHealth(node int, healthy bool) {
 // around it: mesh paths detour, fully connected pairs relay two-hop
 // through the lowest-numbered healthy intermediate.
 func (t *Topology) SeverLink(li int) {
-	t.ensureDegraded()
 	t.severed[li] = true
 	t.refreshLinks()
 }
@@ -85,7 +61,6 @@ func (t *Topology) SeverLink(li int) {
 // (factor >= 1; integer arithmetic keeps the model deterministic). The
 // link stays routable — transfers just queue behind its slower drain.
 func (t *Topology) DegradeLink(li, factor int) {
-	t.ensureDegraded()
 	if factor < 1 {
 		factor = 1
 	}
@@ -94,50 +69,15 @@ func (t *Topology) DegradeLink(li, factor int) {
 
 // RestoreLink undoes SeverLink and DegradeLink for link li.
 func (t *Topology) RestoreLink(li int) {
-	t.ensureDegraded()
 	t.severed[li] = false
 	t.perByte[li] = t.spec.links[li].PerByte
 	t.refreshLinks()
 }
 
-// chargeDegraded routes one transfer over the runtime route with
-// store-and-forward queueing: the transfer waits out each link's backlog
-// in path order, its arrival at every hop delayed by the hops before it.
-// The healthy path keeps the parallel-wait accounting (each link's
-// backlog measured independently from the transfer's start time) for
-// byte-identical goldens; under rerouting, where severed links funnel
-// many node pairs through few survivors, the parallel sum counts a
-// shared backlog once per link crossed and the thread clocks it feeds
-// back into the link state diverge. Sequential traversal bounds the
-// transfer's finish time by the worst backlog plus its own service.
-//
-//numalint:hotpath
-func (t *Topology) chargeDegraded(now sim.Time, route []int, bytes int) sim.Time {
-	var wait sim.Time
-	cur := now
-	for _, li := range route {
-		ls := &t.links[li]
-		service := sim.Time(bytes) * t.perByte[li]
-		if ls.busyUntil > cur {
-			d := ls.busyUntil - cur
-			wait += d
-			ls.waited += d
-			cur = ls.busyUntil
-		}
-		ls.busyUntil = cur + service
-		cur += service
-		ls.xfers++
-		ls.bytes += uint64(bytes)
-		ls.service += service
-	}
-	return wait
-}
-
 // nextInterleave advances the interleaved-memory round-robin cursor to
 // the next online node. With every node down it returns the cursor
 // unmoved — a degenerate schedule the NUMA layer's evacuation protocol
-// never produces. Called from ChargeTransfer only when degraded, so
-// nodeDown is allocated.
+// never produces.
 func (t *Topology) nextInterleave() int {
 	s := t.spec
 	for i := 0; i < s.nnodes; i++ {
@@ -151,25 +91,6 @@ func (t *Topology) nextInterleave() int {
 		}
 	}
 	return t.rr
-}
-
-// ensureDegraded lazily clones the spec's routing and capacity tables
-// into runtime form on the first health mutation.
-func (t *Topology) ensureDegraded() {
-	if t.degraded {
-		return
-	}
-	t.degraded = true
-	s := t.spec
-	t.nodeDown = make([]bool, s.nnodes)
-	t.severed = make([]bool, len(s.links))
-	t.linkDown = make([]bool, len(s.links))
-	t.perByte = make([]sim.Time, len(s.links))
-	for i, l := range s.links {
-		t.perByte[i] = l.PerByte
-	}
-	t.routes = make([][]int, len(s.routes))
-	copy(t.routes, s.routes)
 }
 
 // refreshLinks re-derives the effective link-down mask from the severed

@@ -31,9 +31,6 @@ func TestMeshDetour(t *testing.T) {
 	}
 
 	tp.SeverLink(li)
-	if !tp.Degraded() {
-		t.Error("SeverLink did not mark the topology degraded")
-	}
 	if !tp.LinkSevered(li) {
 		t.Error("severed link not reported severed")
 	}

@@ -416,31 +416,38 @@ type LinkStats struct {
 	// the total queueing delay transfers paid because the link was busy.
 	Service sim.Time
 	Waited  sim.Time
+	// MaxWait and MaxService are the largest single wait and the largest
+	// single service booked on the link, the operands of CheckBound.
+	MaxWait    sim.Time
+	MaxService sim.Time
 }
 
 // linkState is one link's mutable token-bucket clock and counters.
+// arrival is the latest hop-arrival time the link has booked, and
+// backlog the wait that arrival found.
 type linkState struct {
-	busyUntil sim.Time
-	xfers     uint64
-	bytes     uint64
-	service   sim.Time
-	waited    sim.Time
+	busyUntil  sim.Time
+	arrival    sim.Time
+	backlog    sim.Time
+	xfers      uint64
+	bytes      uint64
+	service    sim.Time
+	waited     sim.Time
+	maxWait    sim.Time
+	maxService sim.Time
 }
 
 // Topology is the per-machine runtime over a Spec: the link token
-// buckets and the interleave round-robin cursor. A Topology belongs to
-// exactly one machine (the single-threaded simulation loop mutates it);
-// build a fresh one per machine and share only the Spec.
+// buckets, the interleave round-robin cursor and the runtime health
+// (node mask, severed links, per-byte overrides and the routes around
+// them). A Topology belongs to exactly one machine (the single-threaded
+// simulation loop mutates it); build a fresh one per machine and share
+// only the Spec.
 type Topology struct {
 	spec  *Spec
 	links []linkState
 	rr    int
 
-	// Degraded-mode runtime health. All nil/false until the first health
-	// mutation (SetNodeHealth, SeverLink, DegradeLink): the healthy hot
-	// path pays one bool check and nothing else, and a machine with no
-	// failure schedule never allocates any of it.
-	degraded bool
 	nodeDown []bool
 	severed  []bool     // links explicitly severed
 	linkDown []bool     // severed OR an endpoint node is down
@@ -448,9 +455,22 @@ type Topology struct {
 	routes   [][]int    // runtime routes, recomputed around dead links
 }
 
-// New builds the runtime state for spec.
+// New builds the runtime state for spec: idle links, every node online
+// and the spec's own routes and per-byte service times.
 func New(spec *Spec) *Topology {
-	return &Topology{spec: spec, links: make([]linkState, len(spec.links))}
+	t := &Topology{
+		spec:     spec,
+		links:    make([]linkState, len(spec.links)),
+		nodeDown: make([]bool, spec.nnodes),
+		severed:  make([]bool, len(spec.links)),
+		linkDown: make([]bool, len(spec.links)),
+		perByte:  make([]sim.Time, len(spec.links)),
+		routes:   append([][]int(nil), spec.routes...),
+	}
+	for i, l := range spec.links {
+		t.perByte[i] = l.PerByte
+	}
+	return t
 }
 
 // Spec returns the immutable shape.
@@ -464,14 +484,22 @@ func (t *Topology) Spec() *Spec { return t.spec }
 func (t *Topology) Contended() bool { return t.spec.contended }
 
 // ChargeTransfer routes a transfer of bytes between processor proc's
-// home node and latency-matrix column col at virtual time now. Each link
-// on the route absorbs the transfer's service time into its token-bucket
-// clock; the returned value is the queueing delay the transfer waited on
-// busy links, which the caller charges on top of the base latency (the
-// base latency already covers the uncontended transfer). Local traffic,
-// uncontended specs and unrouted pairs wait nothing. Column NNodes (the
-// interleaved global memory) is resolved to a target node by a
-// deterministic round-robin cursor.
+// home node and latency-matrix column col, issued at virtual time now,
+// and returns the queueing delay it waited on busy links, which the
+// caller charges on top of the base latency (the base latency already
+// covers the uncontended transfer). Local traffic, uncontended specs and
+// unrouted pairs wait nothing. Column NNodes (the interleaved global
+// memory) is resolved to an online node by a deterministic round-robin
+// cursor.
+//
+// The transfer is stored and forwarded over the runtime route: it
+// arrives at each hop when the hop before it finished. Threads run out
+// of virtual-time order within a dispatch slice, so each link keeps its
+// latest hop-arrival time. An arrival at or after it queues FIFO behind
+// the link's bookings and books its own service. An earlier arrival
+// waits only for the backlog that latest arrival found, and books
+// nothing ahead of it: charging it the gap up to a booking made from a
+// later clock would be waiting on the future.
 //
 //numalint:hotpath
 func (t *Topology) ChargeTransfer(now sim.Time, proc, col, bytes int) sim.Time {
@@ -479,43 +507,60 @@ func (t *Topology) ChargeTransfer(now sim.Time, proc, col, bytes int) sim.Time {
 	if !s.contended {
 		return 0
 	}
-	src := s.homeOf[proc]
-	dst := col
+	src, dst := s.homeOf[proc], col
 	if dst == s.nnodes {
-		if t.degraded {
-			dst = t.nextInterleave()
-		} else {
-			dst = t.rr
-			t.rr++
-			if t.rr == s.nnodes {
-				t.rr = 0
-			}
-		}
+		dst = t.nextInterleave()
 	}
 	if dst == src {
 		return 0
 	}
-	if t.degraded {
-		return t.chargeDegraded(now, t.routes[src*s.nnodes+dst], bytes)
-	}
-	route := s.routes[src*s.nnodes+dst]
 	var wait sim.Time
-	for _, li := range route {
+	at := now
+	for _, li := range t.routes[src*s.nnodes+dst] {
 		ls := &t.links[li]
-		service := sim.Time(bytes) * s.links[li].PerByte
-		if ls.busyUntil > now {
-			d := ls.busyUntil - now
-			wait += d
-			ls.waited += d
-		} else {
-			ls.busyUntil = now
+		service := sim.Time(bytes) * t.perByte[li]
+		d := ls.backlog
+		if at >= ls.arrival {
+			d = 0
+			if ls.busyUntil > at {
+				d = ls.busyUntil - at
+			}
+			ls.arrival, ls.backlog = at, d
+			ls.busyUntil = at + d + service
 		}
-		ls.busyUntil += service
+		at += d + service
+		wait += d
+		ls.waited += d
 		ls.xfers++
 		ls.bytes += uint64(bytes)
 		ls.service += service
+		if d > ls.maxWait {
+			ls.maxWait = d
+		}
+		if service > ls.maxService {
+			ls.maxService = service
+		}
 	}
 	return wait
+}
+
+// CheckBound checks the closed-system bound on every link. A charge is
+// synchronous and the threads of one processor run one at a time, so
+// each processor has at most one transfer in flight, and no hop can
+// wait behind more than the other NProcs-1 processors' transfers: no
+// single wait may exceed (NProcs-1) × the largest single service booked
+// on its link. It returns an error naming the first link that breaks
+// the bound, or nil.
+func (t *Topology) CheckBound() error {
+	others := sim.Time(t.spec.nprocs - 1)
+	for i := range t.links {
+		ls := &t.links[i]
+		if ls.maxWait > others*ls.maxService {
+			return fmt.Errorf("topology %s: link %s waited %v on one hop, above %d × its largest service %v",
+				t.spec.name, t.spec.links[i].Name, ls.maxWait, others, ls.maxService)
+		}
+	}
+	return nil
 }
 
 // LinkStats snapshots every link's traffic accounting, in link order.
@@ -530,6 +575,7 @@ func (t *Topology) LinkStats() []LinkStats {
 		out[i] = LinkStats{
 			Name: t.spec.links[i].Name, Xfers: ls.xfers, Bytes: ls.bytes,
 			Service: ls.service, Waited: ls.waited,
+			MaxWait: ls.maxWait, MaxService: ls.maxService,
 		}
 	}
 	return out

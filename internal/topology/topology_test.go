@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"strings"
 	"testing"
 
 	"numasim/internal/sim"
@@ -298,5 +299,114 @@ func TestUncontendedChargesNothing(t *testing.T) {
 	}
 	if topo.LinkStats() != nil {
 		t.Error("uncontended topology reported link stats")
+	}
+}
+
+// TestOutOfOrderArrivalWaitsNothing: threads run out of virtual-time
+// order, so a link can see a transfer issued at t=0 after one it booked
+// at t=1ms. The early transfer found an idle link and waits nothing; it
+// books nothing ahead of the later booking either, so a third transfer
+// arriving with that booking queues behind it alone.
+func TestOutOfOrderArrivalWaitsNothing(t *testing.T) {
+	s, err := FourSocket(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo := New(s)
+	const bytes = 1000
+	service := bytes * s.Links()[0].PerByte
+	if w := topo.ChargeTransfer(sim.Millisecond, 1, 0, bytes); w != 0 {
+		t.Fatalf("first transfer on an idle link waited %v", w)
+	}
+	if w := topo.ChargeTransfer(0, 0, 1, bytes); w != 0 {
+		t.Errorf("out-of-order transfer at t=0 waited %v, want 0 (the link was idle then)", w)
+	}
+	if w := topo.ChargeTransfer(sim.Millisecond, 0, 1, bytes); w != service {
+		t.Errorf("transfer at t=1ms waited %v, want the one booking ahead of it, %v", w, service)
+	}
+}
+
+// TestSecondHopWaitFromArrival: a transfer is stored and forwarded, so
+// its wait on the second hop of a route is measured from the moment it
+// arrives there, after its first hop's service, not from its issue time.
+func TestSecondHopWaitFromArrival(t *testing.T) {
+	s, err := Mesh8(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo := New(s)
+	l12, _ := s.LinkIndex("node1-node2")
+	if got := topo.Route(0, 2); len(got) != 2 || got[1] != l12 {
+		t.Fatalf("route 0->2 = %v, want two hops ending on node1-node2", got)
+	}
+	perByte := s.Links()[l12].PerByte
+	// cpu1 books node1-node2 for [0, 1000 bytes of service).
+	topo.ChargeTransfer(0, 1, 2, 1000)
+	// cpu0's 100-byte transfer crosses the idle node0-node1 first and
+	// reaches node1-node2 100 bytes of service later.
+	want := 1000*perByte - 100*perByte
+	if w := topo.ChargeTransfer(0, 0, 2, 100); w != want {
+		t.Errorf("two-hop transfer waited %v, want %v (the backlog left when it reached the second hop)", w, want)
+	}
+}
+
+// TestInterleavedScheduleKeepsBound runs a seeded schedule in which each
+// processor issues its transfers in sequence on its own clock, one in
+// flight at a time, while the processors interleave out of virtual-time
+// order, as threads do within a dispatch slice. No hop may wait more
+// than (NProcs-1) × the largest single service booked on its link.
+func TestInterleavedScheduleKeepsBound(t *testing.T) {
+	for _, build := range []func(int) (*Spec, error){FourSocket, Mesh8} {
+		s, err := build(8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		topo := New(s)
+		state := uint64(11)
+		next := func(n int) int {
+			state = state*6364136223846793005 + 1442695040888963407
+			return int(state>>33) % n
+		}
+		clock := make([]sim.Time, s.NProcs())
+		var maxService sim.Time
+		for i := 0; i < 20000; i++ {
+			proc := next(s.NProcs())
+			bytes := 4 + next(4096)
+			service := sim.Time(bytes) * 12 * sim.Nanosecond
+			if service > maxService {
+				maxService = service
+			}
+			wait := topo.ChargeTransfer(clock[proc], proc, next(s.NNodes()+1), bytes)
+			// Single-link routes: the charge is the one hop's wait.
+			if s.Name() == "4socket" && wait > sim.Time(s.NProcs()-1)*maxService {
+				t.Fatalf("%s step %d: cpu%d waited %v, above %d × %v", s.Name(), i, proc, wait, s.NProcs()-1, maxService)
+			}
+			// The next transfer leaves after this one has crossed its
+			// whole route (at most four hops) and some think time.
+			clock[proc] += wait + 4*service + sim.Time(next(20000))*sim.Nanosecond
+		}
+		if err := topo.CheckBound(); err != nil {
+			t.Errorf("%s: %v", s.Name(), err)
+		}
+	}
+}
+
+// TestCheckBoundCatchesOverlap: one processor with several transfers in
+// flight at once breaks the closed-system premise, and CheckBound names
+// the link where a wait outgrew the bound.
+func TestCheckBoundCatchesOverlap(t *testing.T) {
+	s, err := FourSocket(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo := New(s)
+	topo.ChargeTransfer(0, 0, 1, 1000)
+	topo.ChargeTransfer(0, 0, 1, 1000)
+	if err := topo.CheckBound(); err != nil {
+		t.Fatalf("one service of wait on a 2-CPU machine is within the bound: %v", err)
+	}
+	topo.ChargeTransfer(0, 0, 1, 1000) // waits two services
+	if err := topo.CheckBound(); err == nil || !strings.Contains(err.Error(), "node0-node1") {
+		t.Errorf("CheckBound = %v, want a violation on node0-node1", err)
 	}
 }
