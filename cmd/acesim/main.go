@@ -249,12 +249,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// The shared flags (chaos, supervision, -frames) land in harness
-	// options. A single-app run uses them for supervision (timeout,
-	// retries, repro bundles) and for its run spec; with none of the
-	// supervision flags set, opts.Supervise runs the simulation directly.
+	// options. The -app runs loop through opts.Each, which supervises
+	// them (timeout, retries, repro bundles), and take their chaos and
+	// robustness fields from opts.Spec; with none of the supervision
+	// flags set, each simulation runs directly.
 	opts := harness.Options{
 		NProc: *nproc, Workers: *workers, Topology: *topo, AppSize: *size,
-		Command: "acesim " + strings.Join(args, " "),
+		Parallelism: *parallel, Command: "acesim " + strings.Join(args, " "),
 	}
 	if err := common.Apply(&opts); err != nil {
 		fmt.Fprintln(stderr, "acesim:", err)
@@ -271,7 +272,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if flagWasSet(fs, "policy") {
 			opts.Policy = *polName
 		}
-		opts.Parallelism = *parallel
 		return runExperiment(*exp, opts, stdout, stderr)
 	}
 
@@ -292,38 +292,35 @@ func run(args []string, stdout, stderr io.Writer) int {
 	o := runOpts{
 		spec: metrics.RunSpec{
 			Config: cfg, Workers: *workers, Sched: mode,
-			UnixMast: *unixMaster, NoReplication: !*replication, Chaos: opts.Chaos,
+			UnixMast: *unixMaster, NoReplication: !*replication,
 		},
 		policy: *polName, size: *size,
 		doTrace: *doTrace, chromeOut: *chromeOut, perProc: *perProc,
 	}
 
-	// Run every app concurrently (bounded), buffer the reports, and print
-	// them in the order given on the command line.
+	// Run every app concurrently (bounded), each a supervised unit, buffer
+	// the reports, and print them in the order given on the command line.
+	// Under -keep-going a failed app's report is its error's first line.
 	reports := make([]string, len(apps))
-	errs := harness.NewPool(*parallel).RunAll(len(apps), func(i int) error {
-		return opts.Supervise(apps[i], func(so harness.Options) error {
-			oo := o
-			oo.spec = so.Spec(o.spec)
-			rep, err := runOne(apps[i], oo)
-			if err != nil {
-				return fmt.Errorf("%s: %w", apps[i], err)
-			}
-			reports[i] = rep
-			return nil
-		})
-	})
 	failed := false
-	for i, rerr := range errs {
-		if rerr == nil {
-			continue
+	err = opts.Each(len(apps), func(i int) string { return apps[i] }, func(i int, so harness.Options) error {
+		oo := o
+		oo.spec = so.Spec(o.spec)
+		rep, err := runOne(apps[i], oo)
+		if err != nil {
+			return fmt.Errorf("%s: %w", apps[i], err)
 		}
+		reports[i] = rep
+		return nil
+	}, func(i int, err error) {
 		failed = true
-		fmt.Fprintln(stderr, "acesim:", rerr)
-		if !opts.KeepGoing && opts.ReproDir == "" {
-			return 1
-		}
-		reports[i] = fmt.Sprintf("%s: failed: %v\n", apps[i], firstLine(rerr.Error()))
+		fmt.Fprintln(stderr, "acesim:", err)
+		msg, _, _ := strings.Cut(err.Error(), "\n")
+		reports[i] = fmt.Sprintf("%s: failed: %v\n", apps[i], msg)
+	})
+	if err != nil {
+		fmt.Fprintln(stderr, "acesim:", err)
+		return 1
 	}
 	for i, rep := range reports {
 		if i > 0 {
@@ -335,14 +332,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// firstLine truncates multi-line error text (panic stacks) for reports.
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
 }
 
 func main() {

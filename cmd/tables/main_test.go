@@ -166,3 +166,20 @@ func TestTablesRefuseFailureSchedules(t *testing.T) {
 		}
 	}
 }
+
+// TestFalseSharingRefusesFailureSchedule: the false-sharing experiment
+// computes α from T_global and T_local reference runs too, so it refuses
+// a failure schedule like Tables 3 and 4 instead of failing deep inside
+// the one-processor T_local run.
+func TestFalseSharingRefusesFailureSchedule(t *testing.T) {
+	var out, errb strings.Builder
+	args := []string{"-small", "-nproc", "3", "-exp", "falsesharing", "-chaos-node-fail", "1@1ms-5ms"}
+	if code := run(args, &out, &errb); code != 1 {
+		t.Fatalf("exit code = %d, want 1; stdout: %s", code, out.String())
+	}
+	for _, want := range []string{"falsesharing", "-exp availability"} {
+		if !strings.Contains(errb.String(), want) {
+			t.Errorf("stderr should name %q, got: %s", want, errb.String())
+		}
+	}
+}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"numasim/internal/numa"
-
 	"numasim/internal/metrics"
 	"numasim/internal/policy"
 	"numasim/internal/sched"
@@ -26,18 +24,16 @@ type FalseSharingResult struct {
 // the writably-shared output vector into private memory raised Primes2's α
 // from 0.66 to 1.00.
 func FalseSharing(opts Options) (FalseSharingResult, error) {
-	opts = opts.withDefaults()
-	ev := opts.evaluator()
+	if err := refuseHealth(opts, "falsesharing"); err != nil {
+		return FalseSharingResult{}, err
+	}
 	variants := []string{"Primes2-untuned", "Primes2"}
 	evals := make([]metrics.Eval, len(variants))
-	err := opts.pool().Run(len(variants), func(i int) error {
-		e, err := ev.Evaluate(func() (metrics.Runner, error) { return opts.instance(variants[i]) })
-		if err != nil {
+	err := opts.Each(len(variants), func(i int) string { return "falsesharing-" + variants[i] },
+		func(i int, o Options) (err error) {
+			evals[i], err = o.evaluator().Evaluate(func() (metrics.Runner, error) { return o.instance(variants[i]) })
 			return err
-		}
-		evals[i] = e
-		return nil
-	})
+		}, nil)
 	if err != nil {
 		return FalseSharingResult{}, err
 	}
@@ -70,39 +66,43 @@ type SweepRow struct {
 	Pins, Moves  uint64
 }
 
-// ThresholdSweep measures a workload under varying move limits; limit<0
-// selects the never-pin policy.
-func ThresholdSweep(opts Options, app string, limits []int) ([]SweepRow, error) {
-	opts = opts.withDefaults()
-	cfg := opts.config()
-	rows := make([]SweepRow, len(limits))
-	err := opts.pool().Run(len(limits), func(i int) error {
-		lim := limits[i]
-		p := policy.NewThreshold(max(lim, 0))
-		if lim < 0 {
-			p = policy.NeverPin()
-		}
-		res, err := opts.runInstance(app, metrics.RunSpec{
-			Config: cfg, Policy: p, Workers: opts.Workers, Sched: sched.Affinity,
-		})
-		if err != nil {
-			return err
-		}
-		name := fmt.Sprintf("%d", lim)
-		if lim < 0 {
-			name = "never-pin"
-		}
-		rows[i] = SweepRow{
-			Param: name,
-			Tnuma: res.UserSec, Snuma: res.SysSec,
-			Pins: res.NUMA.Pins, Moves: res.NUMA.Moves,
-		}
-		return nil
+// sweep measures app once per point, each point one supervised unit
+// whose run spec edit(i) changes, and tabulates the runs in order; the
+// first failure aborts.
+func sweep(opts Options, label, app string, params []string, edit func(i int, s *metrics.RunSpec)) ([]SweepRow, error) {
+	runs, err := compare(opts, label+"-"+app, params, func(i int, o Options) (metrics.RunResult, error) {
+		return o.runApp(app, func(s *metrics.RunSpec) { edit(i, s) })
 	})
 	if err != nil {
 		return nil, err
 	}
+	rows := make([]SweepRow, len(runs))
+	for i, res := range runs {
+		rows[i] = SweepRow{
+			Param: params[i],
+			Tnuma: res.UserSec, Snuma: res.SysSec,
+			Pins: res.NUMA.Pins, Moves: res.NUMA.Moves,
+		}
+	}
 	return rows, nil
+}
+
+// ThresholdSweep measures a workload under varying move limits; limit<0
+// selects the never-pin policy.
+func ThresholdSweep(opts Options, app string, limits []int) ([]SweepRow, error) {
+	params := make([]string, len(limits))
+	for i, lim := range limits {
+		params[i] = fmt.Sprintf("%d", lim)
+		if lim < 0 {
+			params[i] = "never-pin"
+		}
+	}
+	return sweep(opts, "thresholdsweep", app, params, func(i int, s *metrics.RunSpec) {
+		s.Policy = policy.NewThreshold(max(limits[i], 0))
+		if limits[i] < 0 {
+			s.Policy = policy.NeverPin()
+		}
+	})
 }
 
 // RenderSweepCSV renders a sweep as CSV (one header line plus one line per
@@ -141,24 +141,11 @@ type AffinityResult struct {
 
 // AffinityCompare runs a workload under both scheduling disciplines.
 func AffinityCompare(opts Options, app string) (AffinityResult, error) {
-	opts = opts.withDefaults()
-	cfg := opts.config()
 	modes := []sched.Mode{sched.Affinity, sched.NoAffinity}
-	runs := make([]metrics.RunResult, len(modes))
-	err := opts.pool().Run(len(modes), func(i int) error {
-		pol, err := opts.policyOr(func() numa.Policy { return policy.NewDefault() })
-		if err != nil {
-			return err
-		}
-		res, err := opts.runInstance(app, metrics.RunSpec{
-			Config: cfg, Policy: pol, Workers: opts.Workers, Sched: modes[i],
+	runs, err := compare(opts, "affinity-"+app, []string{"affinity", "noaffinity"},
+		func(i int, o Options) (metrics.RunResult, error) {
+			return o.runApp(app, func(s *metrics.RunSpec) { s.Sched = modes[i] })
 		})
-		if err != nil {
-			return err
-		}
-		runs[i] = res
-		return nil
-	})
 	if err != nil {
 		return AffinityResult{}, err
 	}
@@ -196,24 +183,10 @@ type UnixMasterResult struct {
 
 // UnixMasterCompare runs a workload with syscalls funnelled to CPU 0.
 func UnixMasterCompare(opts Options, app string) (UnixMasterResult, error) {
-	opts = opts.withDefaults()
-	cfg := opts.config()
-	runs := make([]metrics.RunResult, 2)
-	err := opts.pool().Run(2, func(i int) error {
-		pol, err := opts.policyOr(func() numa.Policy { return policy.NewDefault() })
-		if err != nil {
-			return err
-		}
-		res, err := opts.runInstance(app, metrics.RunSpec{
-			Config: cfg, Policy: pol, Workers: opts.Workers, Sched: sched.Affinity,
-			UnixMast: i == 1,
+	runs, err := compare(opts, "unixmaster-"+app, []string{"home", "master"},
+		func(i int, o Options) (metrics.RunResult, error) {
+			return o.runApp(app, func(s *metrics.RunSpec) { s.UnixMast = i == 1 })
 		})
-		if err != nil {
-			return err
-		}
-		runs[i] = res
-		return nil
-	})
 	if err != nil {
 		return UnixMasterResult{}, err
 	}
@@ -247,24 +220,10 @@ type ReplicationResult struct {
 
 // ReplicationCompare measures a workload with replication on and off.
 func ReplicationCompare(opts Options, app string) (ReplicationResult, error) {
-	opts = opts.withDefaults()
-	cfg := opts.config()
-	runs := make([]metrics.RunResult, 2)
-	err := opts.pool().Run(2, func(i int) error {
-		pol, err := opts.policyOr(func() numa.Policy { return policy.NewDefault() })
-		if err != nil {
-			return err
-		}
-		res, err := opts.runInstance(app, metrics.RunSpec{
-			Config: cfg, Policy: pol, Workers: opts.Workers, Sched: sched.Affinity,
-			NoReplication: i == 1,
+	runs, err := compare(opts, "replication-"+app, []string{"replicate", "single-copy"},
+		func(i int, o Options) (metrics.RunResult, error) {
+			return o.runApp(app, func(s *metrics.RunSpec) { s.NoReplication = i == 1 })
 		})
-		if err != nil {
-			return err
-		}
-		runs[i] = res
-		return nil
-	})
 	if err != nil {
 		return ReplicationResult{}, err
 	}
@@ -296,19 +255,11 @@ type RemoteResult struct {
 
 // RemoteCompare runs the asymmetric-sharing probe twice.
 func RemoteCompare(opts Options) (RemoteResult, error) {
-	opts = opts.withDefaults()
-	cfg := opts.config()
-	runs := make([]metrics.RunResult, 2)
-	err := opts.pool().Run(2, func(i int) error {
-		res, err := metrics.Run(workloads.NewHomeData(0, 0, i == 1), metrics.RunSpec{
-			Config: cfg, Policy: policy.NewPragma(nil), Workers: opts.Workers, Sched: sched.Affinity,
+	runs, err := compare(opts, "remote", []string{"auto", "pragma"},
+		func(i int, o Options) (metrics.RunResult, error) {
+			return o.run(workloads.NewHomeData(0, 0, i == 1),
+				func(s *metrics.RunSpec) { s.Policy = policy.NewPragma(nil) })
 		})
-		if err != nil {
-			return err
-		}
-		runs[i] = res
-		return nil
-	})
 	if err != nil {
 		return RemoteResult{}, err
 	}
@@ -342,35 +293,29 @@ type PolicyRow struct {
 	Pins      uint64
 }
 
-// PolicyCompare runs the Phased probe under several placement policies.
+// PolicyCompare runs the Phased probe under several placement policies,
+// given as registry specs.
 func PolicyCompare(opts Options) ([]PolicyRow, error) {
-	opts = opts.withDefaults()
-	cfg := opts.config()
-	pols := []numa.Policy{
-		policy.NewDefault(),
-		policy.NewReconsider(policy.DefaultThreshold, 8),
-		policy.NewFreezeDefrost(0, 0),
-	}
-	rows := make([]PolicyRow, len(pols))
-	err := opts.pool().Run(len(pols), func(i int) error {
-		pol := pols[i]
-		res, err := metrics.Run(workloads.NewPhased(0, 0, 0), metrics.RunSpec{
-			Config: cfg, Policy: pol, Workers: opts.Workers, Sched: sched.Affinity,
-		})
+	specs := []string{"threshold", "reconsider:period=8", "freezedefrost"}
+	runs, err := compare(opts, "policycompare", specs, func(i int, o Options) (metrics.RunResult, error) {
+		pol, err := policy.Parse(specs[i])
 		if err != nil {
-			return err
+			return metrics.RunResult{}, err
 		}
+		return o.run(workloads.NewPhased(0, 0, 0), func(s *metrics.RunSpec) { s.Policy = pol })
+	})
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]PolicyRow, len(runs))
+	for i, res := range runs {
 		rows[i] = PolicyRow{
-			Policy:    pol.Name(),
+			Policy:    res.Policy,
 			UserSec:   res.UserSec,
 			SysSec:    res.SysSec,
 			LocalFrac: res.Refs.LocalFraction(),
 			Pins:      res.NUMA.Pins,
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return rows, nil
 }
@@ -393,95 +338,36 @@ func RenderPolicyCompare(rows []PolicyRow) string {
 
 // PageSizeSweep measures a workload at several page sizes.
 func PageSizeSweep(opts Options, app string, sizes []int) ([]SweepRow, error) {
-	opts = opts.withDefaults()
-	rows := make([]SweepRow, len(sizes))
-	err := opts.pool().Run(len(sizes), func(i int) error {
-		cfg := opts.config()
-		cfg.PageSize = sizes[i]
-		pol, err := opts.policyOr(func() numa.Policy { return policy.NewDefault() })
-		if err != nil {
-			return err
-		}
-		res, err := opts.runInstance(app, metrics.RunSpec{
-			Config: cfg, Policy: pol, Workers: opts.Workers, Sched: sched.Affinity,
-		})
-		if err != nil {
-			return err
-		}
-		rows[i] = SweepRow{
-			Param: fmt.Sprintf("%d", sizes[i]),
-			Tnuma: res.UserSec, Snuma: res.SysSec,
-			Pins: res.NUMA.Pins, Moves: res.NUMA.Moves,
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	params := make([]string, len(sizes))
+	for i, size := range sizes {
+		params[i] = fmt.Sprintf("%d", size)
 	}
-	return rows, nil
+	return sweep(opts, "pagesizesweep", app, params, func(i int, s *metrics.RunSpec) {
+		s.Config.PageSize = sizes[i]
+	})
 }
 
 // GLSweep measures a workload with the global-memory latencies scaled by
 // the given factors (exploring machines with different G/L ratios).
 func GLSweep(opts Options, app string, factors []float64) ([]SweepRow, error) {
-	opts = opts.withDefaults()
-	rows := make([]SweepRow, len(factors))
-	err := opts.pool().Run(len(factors), func(i int) error {
-		f := factors[i]
-		cfg := opts.config()
-		cfg.Cost.GlobalFetch = sim.Time(float64(cfg.Cost.GlobalFetch) * f)
-		cfg.Cost.GlobalStore = sim.Time(float64(cfg.Cost.GlobalStore) * f)
-		pol, err := opts.policyOr(func() numa.Policy { return policy.NewDefault() })
-		if err != nil {
-			return err
-		}
-		res, err := opts.runInstance(app, metrics.RunSpec{
-			Config: cfg, Policy: pol, Workers: opts.Workers, Sched: sched.Affinity,
-		})
-		if err != nil {
-			return err
-		}
-		rows[i] = SweepRow{
-			Param: fmt.Sprintf("%.2f", f),
-			Tnuma: res.UserSec, Snuma: res.SysSec,
-			Pins: res.NUMA.Pins, Moves: res.NUMA.Moves,
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	params := make([]string, len(factors))
+	for i, f := range factors {
+		params[i] = fmt.Sprintf("%.2f", f)
 	}
-	return rows, nil
+	return sweep(opts, "glsweep", app, params, func(i int, s *metrics.RunSpec) {
+		s.Config.Cost.GlobalFetch = sim.Time(float64(s.Config.Cost.GlobalFetch) * factors[i])
+		s.Config.Cost.GlobalStore = sim.Time(float64(s.Config.Cost.GlobalStore) * factors[i])
+	})
 }
 
 // QuantumSweep measures sensitivity to the scheduling quantum (an artifact
 // knob of the simulation: finer quanta interleave processors more).
 func QuantumSweep(opts Options, app string, quanta []sim.Time) ([]SweepRow, error) {
-	opts = opts.withDefaults()
-	rows := make([]SweepRow, len(quanta))
-	err := opts.pool().Run(len(quanta), func(i int) error {
-		q := quanta[i]
-		cfg := opts.config()
-		cfg.Quantum = q
-		pol, err := opts.policyOr(func() numa.Policy { return policy.NewDefault() })
-		if err != nil {
-			return err
-		}
-		res, err := opts.runInstance(app, metrics.RunSpec{
-			Config: cfg, Policy: pol, Workers: opts.Workers, Sched: sched.Affinity,
-		})
-		if err != nil {
-			return err
-		}
-		rows[i] = SweepRow{
-			Param: q.String(),
-			Tnuma: res.UserSec, Snuma: res.SysSec,
-			Pins: res.NUMA.Pins, Moves: res.NUMA.Moves,
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	params := make([]string, len(quanta))
+	for i, q := range quanta {
+		params[i] = q.String()
 	}
-	return rows, nil
+	return sweep(opts, "quantumsweep", app, params, func(i int, s *metrics.RunSpec) {
+		s.Config.Quantum = quanta[i]
+	})
 }

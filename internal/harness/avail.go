@@ -5,10 +5,6 @@ import (
 	"strings"
 
 	"numasim/internal/chaos"
-	"numasim/internal/metrics"
-	"numasim/internal/numa"
-	"numasim/internal/policy"
-	"numasim/internal/sched"
 	"numasim/internal/sim"
 	"numasim/internal/topology"
 )
@@ -126,45 +122,32 @@ func AvailabilitySweep(opts Options, apps []string) ([]AvailRow, error) {
 		schedules = kept
 	}
 	rows := make([]AvailRow, len(apps)*len(schedules))
-	errs := opts.pool().RunAll(len(rows), func(i int) error {
-		app, sc := apps[i/len(schedules)], schedules[i%len(schedules)]
-		label := fmt.Sprintf("avail-%s-%s", app, sc.name)
-		return opts.Supervise(label, func(o Options) error {
-			pol, err := o.policyOr(func() numa.Policy { return policy.NewDefault() })
-			if err != nil {
-				return err
-			}
-			cc := o.Chaos
-			cc.Health = append(append([]chaos.HealthEvent{}, cc.Health...), sc.events...)
-			res, err := o.runInstance(app, metrics.RunSpec{
-				Config: o.config(), Policy: pol,
-				Workers: o.Workers, Sched: sched.Affinity,
-				TraceSink: o.TraceSink, Chaos: cc,
-			})
-			if err != nil {
-				return fmt.Errorf("availability sweep %s under %s: %w", app, sc.name, err)
-			}
-			rows[i] = AvailRow{
-				App: app, Schedule: sc.name,
-				Tuser: res.UserSec, Tsys: res.SysSec,
-				LocalFrac:   res.Refs.LocalFraction(),
-				Evacuations: res.NUMA.Evacuations, EvacRetries: res.NUMA.EvacRetries,
-				EvacFallbacks: res.NUMA.EvacFallbacks,
-				Failovers:     res.Sched.Failovers,
-			}
-			return nil
-		})
-	})
-	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		if !opts.keepGoing() {
-			return nil, err
+	point := func(i int) (string, availSchedule) { return apps[i/len(schedules)], schedules[i%len(schedules)] }
+	err = opts.Each(len(rows), func(i int) string {
+		app, sc := point(i)
+		return fmt.Sprintf("avail-%s-%s", app, sc.name)
+	}, func(i int, o Options) error {
+		app, sc := point(i)
+		o.Chaos.Health = append(append([]chaos.HealthEvent{}, o.Chaos.Health...), sc.events...)
+		res, err := o.runApp(app, nil)
+		if err != nil {
+			return fmt.Errorf("availability sweep %s under %s: %w", app, sc.name, err)
 		}
 		rows[i] = AvailRow{
-			App: apps[i/len(schedules)], Schedule: schedules[i%len(schedules)].name, Err: err.Error(),
+			App: app, Schedule: sc.name,
+			Tuser: res.UserSec, Tsys: res.SysSec,
+			LocalFrac:   res.Refs.LocalFraction(),
+			Evacuations: res.NUMA.Evacuations, EvacRetries: res.NUMA.EvacRetries,
+			EvacFallbacks: res.NUMA.EvacFallbacks,
+			Failovers:     res.Sched.Failovers,
 		}
+		return nil
+	}, func(i int, err error) {
+		app, sc := point(i)
+		rows[i] = AvailRow{App: app, Schedule: sc.name, Err: err.Error()}
+	})
+	if err != nil {
+		return nil, err
 	}
 	// Each application's rows are contiguous and lead with its healthy
 	// baseline.

@@ -15,8 +15,8 @@ import (
 	"numasim/internal/ace"
 	"numasim/internal/chaos"
 	"numasim/internal/metrics"
-	"numasim/internal/numa"
 	"numasim/internal/policy"
+	"numasim/internal/sched"
 	"numasim/internal/simtrace"
 	"numasim/internal/workloads"
 )
@@ -32,11 +32,12 @@ type Options struct {
 	// are already scaled down from the paper's hours-long runs).
 	Small bool
 	// Policy, when non-empty, overrides the placement policy for
-	// single-policy experiments (the ablations, sweeps and pressure
-	// runs). It accepts any registry spec ("decaythreshold",
-	// "threshold:limit=2"; see policy.Usage). Experiments that compare a
-	// fixed policy set (table3, policycompare, tournament) ignore it.
-	// Empty keeps each experiment's default, byte-identical.
+	// single-policy experiments (the ablations, sweeps, mix, pressure and
+	// availability runs). It accepts any registry spec ("decaythreshold",
+	// "threshold:limit=2"; see policy.Usage). The experiments that fix
+	// their own policies ignore it: table3, table4, falsesharing,
+	// thresholdsweep, remote, policycompare and tournament. Empty keeps
+	// each experiment's default, byte-identical.
 	Policy string
 	// AppSize, when positive, overrides the workload's primary size
 	// parameter (see workloads.NewSized). Sweeps use it to keep repeated
@@ -117,9 +118,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// pool builds the worker pool for the options.
-func (o Options) pool() *Pool { return NewPool(o.Parallelism) }
-
 // config builds the machine configuration for the options.
 func (o Options) config() ace.Config {
 	cfg := ace.DefaultConfig()
@@ -175,29 +173,17 @@ func (o Options) instance(name string) (metrics.Runner, error) {
 	return workloads.ByName(name)
 }
 
-// evaluator builds the three-run evaluator for the options.
+// evaluator builds the three-run evaluator for the options; its per-run
+// fields come from Spec, like every other run's.
 func (o Options) evaluator() *metrics.Evaluator {
+	s := o.Spec(metrics.RunSpec{})
 	ev := metrics.NewEvaluator()
 	ev.Config = o.config()
 	ev.Workers = o.Workers
 	ev.Parallelism = o.Parallelism
-	ev.TraceSink = o.TraceSink
-	ev.Chaos = o.Chaos
-	ev.Audit = o.Audit
-	ev.StallLimit = o.StallLimit
-	ev.Forensics = o.forensics()
-	ev.OnMachine = o.onMachine
+	ev.TraceSink, ev.Chaos, ev.OnMachine = s.TraceSink, s.Chaos, s.OnMachine
+	ev.Audit, ev.StallLimit, ev.Forensics = s.Audit, s.StallLimit, s.Forensics
 	return ev
-}
-
-// policyOr builds the options' placement policy: the -policy spec when
-// one was chosen, def() otherwise. Policies carry state, so call it
-// inside each run closure for a fresh instance per run.
-func (o Options) policyOr(def func() numa.Policy) (numa.Policy, error) {
-	if o.Policy == "" {
-		return def(), nil
-	}
-	return policy.Parse(o.Policy)
 }
 
 // forensics reports whether runs should gather crash forensics (ring
@@ -211,11 +197,14 @@ func (o Options) forensics() bool {
 // failed runs.
 func (o Options) keepGoing() bool { return o.KeepGoing || o.ReproDir != "" }
 
-// Spec completes spec with the options' robustness knobs: the audit
-// stride, the stall limit, forensics and the supervisor's machine hook.
-// All of those are zero for default options, so unsupervised runs are
-// bit-for-bit unchanged.
+// Spec completes spec with the per-run fields the options own: the trace
+// sink, chaos, the audit stride, the stall limit, forensics and the
+// supervisor's machine hook. It is their only writer; every run an
+// experiment makes takes them from here. All of them are zero for
+// default options, so unsupervised runs are bit-for-bit unchanged.
 func (o Options) Spec(spec metrics.RunSpec) metrics.RunSpec {
+	spec.TraceSink = o.TraceSink
+	spec.Chaos = o.Chaos
 	spec.Audit = o.Audit
 	spec.StallLimit = o.StallLimit
 	spec.Forensics = o.forensics()
@@ -223,14 +212,44 @@ func (o Options) Spec(spec metrics.RunSpec) metrics.RunSpec {
 	return spec
 }
 
-// runInstance builds the named workload and runs it once under the
-// spec, completed by Spec.
-func (o Options) runInstance(name string, spec metrics.RunSpec) (metrics.RunResult, error) {
-	w, err := o.instance(name)
+// spec builds one run's spec: the options' machine and workers under the
+// affinity scheduler, changed by edit (nil: none), completed by Spec.
+// When edit names no policy the run gets the -policy spec, or the
+// paper's threshold; policies carry state, so each call makes a fresh
+// one.
+func (o Options) spec(edit func(*metrics.RunSpec)) (metrics.RunSpec, error) {
+	spec := metrics.RunSpec{Config: o.config(), Workers: o.Workers, Sched: sched.Affinity}
+	if edit != nil {
+		edit(&spec)
+	}
+	spec = o.Spec(spec)
+	var err error
+	switch {
+	case spec.Policy != nil: // the experiment's own
+	case o.Policy == "":
+		spec.Policy = policy.NewDefault()
+	default:
+		spec.Policy, err = policy.Parse(o.Policy)
+	}
+	return spec, err
+}
+
+// run runs w once under o.spec(edit).
+func (o Options) run(w metrics.Runner, edit func(*metrics.RunSpec)) (metrics.RunResult, error) {
+	spec, err := o.spec(edit)
 	if err != nil {
 		return metrics.RunResult{}, err
 	}
-	return metrics.Run(w, o.Spec(spec))
+	return metrics.Run(w, spec)
+}
+
+// runApp is run for the named application.
+func (o Options) runApp(app string, edit func(*metrics.RunSpec)) (metrics.RunResult, error) {
+	w, err := o.instance(app)
+	if err != nil {
+		return metrics.RunResult{}, err
+	}
+	return o.run(w, edit)
 }
 
 // Supervise runs one unit of work — an experiment row, or one of
@@ -249,6 +268,41 @@ func (o Options) Supervise(label string, fn func(Options) error) error {
 		oo.onMachine = observe
 		return fn(oo)
 	})
+}
+
+// Each runs fn(0..n-1) on the options' worker pool, each call one
+// supervised unit named label(i) that receives the (defaulted) options
+// to run with. Every index runs. With fail nil, or without -keep-going,
+// Each returns the error of the smallest failing index; otherwise it
+// hands each failure to fail in index order and returns nil, so the
+// caller can render a partial result.
+func (o Options) Each(n int, label func(i int) string, fn func(i int, o Options) error, fail func(i int, err error)) error {
+	o = o.withDefaults()
+	errs := NewPool(o.Parallelism).RunAll(n, func(i int) error {
+		return o.Supervise(label(i), func(so Options) error { return fn(i, so) })
+	})
+	for i, err := range errs {
+		if err == nil {
+			continue
+		}
+		if fail == nil || !o.keepGoing() {
+			return err
+		}
+		fail(i, err)
+	}
+	return nil
+}
+
+// compare runs one supervised unit per variant, named label-variant, and
+// returns the runs in order; the first failure by index aborts.
+func compare(opts Options, label string, variants []string, run func(i int, o Options) (metrics.RunResult, error)) ([]metrics.RunResult, error) {
+	runs := make([]metrics.RunResult, len(variants))
+	err := opts.Each(len(variants), func(i int) string { return label + "-" + variants[i] },
+		func(i int, o Options) (err error) {
+			runs[i], err = run(i, o)
+			return err
+		}, nil)
+	return runs, err
 }
 
 // fmtF renders a float with sensible precision for the tables. It is
@@ -276,17 +330,11 @@ func renderFailures(fails []failedRun) string {
 	var b strings.Builder
 	b.WriteString("failed runs:\n")
 	for _, f := range fails {
-		fmt.Fprintf(&b, "  %-12s %s\n", f.Unit, firstLine(f.Err))
+		// Only the first line: panic errors carry their stacks.
+		msg, _, _ := strings.Cut(f.Err, "\n")
+		fmt.Fprintf(&b, "  %-12s %s\n", f.Unit, msg)
 	}
 	return b.String()
-}
-
-// firstLine truncates multi-line error text (panic stacks) for tables.
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
 }
 
 // renderTable renders a fixed-width text table.

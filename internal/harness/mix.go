@@ -4,12 +4,9 @@ import (
 	"fmt"
 	"strings"
 
-	"numasim/internal/ace"
 	"numasim/internal/cthreads"
-	"numasim/internal/policy"
-	"numasim/internal/sched"
+	"numasim/internal/metrics"
 	"numasim/internal/sim"
-	"numasim/internal/vm"
 	"numasim/internal/workloads"
 )
 
@@ -27,54 +24,57 @@ type MixResult struct {
 	Moves     uint64
 }
 
-// MixRun executes the named applications concurrently under the paper's
-// policy, splitting the machine's processors between them. Every
-// application's own verification must pass.
+// MixRun executes the named applications concurrently under the
+// options' policy (default: the paper's), splitting the machine's
+// processors between them. The machine, kernel and scheduler come from
+// metrics.Build with the run spec any single run would get, and the mix
+// is one supervised unit. Every application's own verification must
+// pass.
 func MixRun(opts Options, apps []string) (MixResult, error) {
-	opts = opts.withDefaults()
-	cfg := opts.config()
-	machine, err := ace.NewMachine(cfg)
+	r := MixResult{Apps: apps}
+	err := opts.Each(1, func(int) string { return "mix" }, func(_ int, o Options) error {
+		spec, err := o.spec(nil)
+		if err != nil {
+			return err
+		}
+		sys, err := metrics.Build(spec)
+		if err != nil {
+			return err
+		}
+		machine, kernel := sys.Machine, sys.Kernel
+		var finishes []func() error
+		for _, app := range apps {
+			inst, err := o.instance(app)
+			if err != nil {
+				return err
+			}
+			w, ok := inst.(workloads.Starter)
+			if !ok {
+				return fmt.Errorf("harness: %s cannot run in a mix", app)
+			}
+			rt := cthreads.NewShared(kernel, sys.Runtime.Scheduler(), app)
+			finishes = append(finishes, w.Start(rt, max(spec.Config.NProc/len(apps), 1)))
+		}
+		if err := machine.Engine().Run(); err != nil {
+			return err
+		}
+		for i, fin := range finishes {
+			if err := fin(); err != nil {
+				return fmt.Errorf("harness: mix member %s: %w", apps[i], err)
+			}
+		}
+		refs := machine.TotalRefs()
+		ns := kernel.NUMA().Stats()
+		r.UserSec = machine.Engine().TotalUserTime().Ticks()
+		r.SysSec = machine.Engine().TotalSysTime().Ticks()
+		r.LocalFrac = refs.LocalFraction()
+		r.Pins, r.Moves = ns.Pins, ns.Moves
+		return nil
+	}, nil)
 	if err != nil {
 		return MixResult{}, err
 	}
-	kernel := vm.NewKernel(machine, policy.NewDefault())
-	scheduler := sched.New(kernel, sched.Affinity)
-
-	workersEach := cfg.NProc / len(apps)
-	if workersEach < 1 {
-		workersEach = 1
-	}
-	var finishes []func() error
-	for _, app := range apps {
-		inst, err := opts.instance(app)
-		if err != nil {
-			return MixResult{}, err
-		}
-		w, ok := inst.(workloads.Starter)
-		if !ok {
-			return MixResult{}, fmt.Errorf("harness: %s cannot run in a mix", app)
-		}
-		rt := cthreads.NewShared(kernel, scheduler, app)
-		finishes = append(finishes, w.Start(rt, workersEach))
-	}
-	if err := machine.Engine().Run(); err != nil {
-		return MixResult{}, err
-	}
-	for i, fin := range finishes {
-		if err := fin(); err != nil {
-			return MixResult{}, fmt.Errorf("harness: mix member %s: %w", apps[i], err)
-		}
-	}
-	refs := machine.TotalRefs()
-	ns := kernel.NUMA().Stats()
-	return MixResult{
-		Apps:      apps,
-		UserSec:   machine.Engine().TotalUserTime().Ticks(),
-		SysSec:    machine.Engine().TotalSysTime().Ticks(),
-		LocalFrac: refs.LocalFraction(),
-		Pins:      ns.Pins,
-		Moves:     ns.Moves,
-	}, nil
+	return r, nil
 }
 
 // Render formats the mix run.

@@ -5,9 +5,6 @@ import (
 	"strings"
 
 	"numasim/internal/metrics"
-	"numasim/internal/numa"
-	"numasim/internal/policy"
-	"numasim/internal/sched"
 	"numasim/internal/sim"
 )
 
@@ -65,7 +62,6 @@ func PressureSweep(opts Options, app string, frames []int) ([]PressureRow, error
 // the table is byte-identical at every setting. An empty apps slice
 // selects the paper's Table 3 applications.
 func PressureSweepAll(opts Options, apps []string, frames []int) ([]PressureRow, error) {
-	opts = opts.withDefaults()
 	if len(apps) == 0 {
 		apps = Table3Apps
 	}
@@ -74,47 +70,35 @@ func PressureSweepAll(opts Options, apps []string, frames []int) ([]PressureRow,
 	}
 	points := append([]int{0}, frames...)
 	rows := make([]PressureRow, len(apps)*len(points))
-	errs := opts.pool().RunAll(len(rows), func(i int) error {
-		app, budget := apps[i/len(points)], points[i%len(points)]
-		label := fmt.Sprintf("pressure-%s-%s", app, pressureParam(budget))
-		return opts.Supervise(label, func(o Options) error {
-			cfg := o.config()
+	point := func(i int) (string, int) { return apps[i/len(points)], points[i%len(points)] }
+	err := opts.Each(len(rows), func(i int) string {
+		app, budget := point(i)
+		return fmt.Sprintf("pressure-%s-%s", app, pressureParam(budget))
+	}, func(i int, o Options) error {
+		app, budget := point(i)
+		res, err := o.runApp(app, func(s *metrics.RunSpec) {
 			if budget > 0 {
-				cfg.LocalFrames = budget
+				s.Config.LocalFrames = budget
 			}
-			pol, err := o.policyOr(func() numa.Policy { return policy.NewDefault() })
-			if err != nil {
-				return err
-			}
-			res, err := o.runInstance(app, metrics.RunSpec{
-				Config: cfg, Policy: pol,
-				Workers: o.Workers, Sched: sched.Affinity,
-				TraceSink: o.TraceSink, Chaos: o.Chaos,
-			})
-			if err != nil {
-				return fmt.Errorf("pressure sweep %s at %d local frames: %w", app, budget, err)
-			}
-			rows[i] = PressureRow{
-				App:         app,
-				LocalFrames: budget,
-				Tnuma:       res.UserSec, Snuma: res.SysSec,
-				LocalFrac: res.Refs.LocalFraction(),
-				Fallbacks: res.NUMA.LocalFallback, Evictions: res.NUMA.Evictions,
-				Retries: res.NUMA.Retries, ChaosFaults: res.NUMA.ChaosFaults,
-			}
-			return nil
 		})
-	})
-	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		if !opts.keepGoing() {
-			return nil, err
+		if err != nil {
+			return fmt.Errorf("pressure sweep %s at %d local frames: %w", app, budget, err)
 		}
 		rows[i] = PressureRow{
-			App: apps[i/len(points)], LocalFrames: points[i%len(points)], Err: err.Error(),
+			App:         app,
+			LocalFrames: budget,
+			Tnuma:       res.UserSec, Snuma: res.SysSec,
+			LocalFrac: res.Refs.LocalFraction(),
+			Fallbacks: res.NUMA.LocalFallback, Evictions: res.NUMA.Evictions,
+			Retries: res.NUMA.Retries, ChaosFaults: res.NUMA.ChaosFaults,
 		}
+		return nil
+	}, func(i int, err error) {
+		app, budget := point(i)
+		rows[i] = PressureRow{App: app, LocalFrames: budget, Err: err.Error()}
+	})
+	if err != nil {
+		return nil, err
 	}
 	// Each application's rows are contiguous and lead with its baseline.
 	for a := 0; a < len(apps); a++ {

@@ -3,7 +3,13 @@ package harness
 import (
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
+
+	"numasim/internal/ace"
+	"numasim/internal/chaos"
+	"numasim/internal/sim"
+	"numasim/internal/simtrace"
 )
 
 // TestRegistryLookup: lookup is case-insensitive and misses are reported.
@@ -123,5 +129,47 @@ func TestAblationEntriesRender(t *testing.T) {
 		} else if ok && strings.Count(cr.RenderCSV(), "\n") < 2 {
 			t.Errorf("%s: CSV has no rows:\n%s", c.name, cr.RenderCSV())
 		}
+	}
+}
+
+// TestEveryExperimentReachesItsRuns: every registry entry that simulates
+// takes its per-run fields from Options.Spec, so the trace sink, the
+// supervisor's machine hook and chaos reach every run it makes. An
+// entry that builds a spec by hand and drops one of them fails here.
+func TestEveryExperimentReachesItsRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the whole registry twice")
+	}
+	noRuns := map[string]string{
+		"table1":  "drives the bare NUMA manager on a probe machine; no workload runs",
+		"table2":  "drives the bare NUMA manager on a probe machine; no workload runs",
+		"figure1": "renders the machine's diagram; nothing is simulated",
+		"figure2": "a fixed diagram; nothing is simulated",
+	}
+	for _, name := range Names() {
+		if why, ok := noRuns[name]; ok {
+			t.Logf("skipping %s: %s", name, why)
+			continue
+		}
+		t.Run(name, func(t *testing.T) {
+			e, _ := Lookup(name)
+			sink := &simtrace.CountingSink{}
+			var machines atomic.Int64
+			opts := Options{Small: true, NProc: 3, TraceSink: sink}
+			opts.onMachine = func(*ace.Machine) { machines.Add(1) }
+			if _, err := e.Run(opts); err != nil {
+				t.Fatal(err)
+			}
+			if sink.Total() == 0 {
+				t.Error("the trace sink saw no events")
+			}
+			if machines.Load() == 0 {
+				t.Error("the machine hook saw no machine")
+			}
+			drill := Options{Small: true, NProc: 3, Chaos: chaos.Config{PanicAt: 100 * sim.Microsecond}}
+			if _, err := e.Run(drill); err == nil {
+				t.Error("a chaos panic at 100µs did not fail the experiment")
+			}
+		})
 	}
 }

@@ -10,9 +10,6 @@ import (
 	"time"
 
 	"numasim/internal/chaos"
-	"numasim/internal/metrics"
-	"numasim/internal/policy"
-	"numasim/internal/sched"
 	"numasim/internal/sim"
 )
 
@@ -20,10 +17,7 @@ import (
 // same path every table row takes.
 func drill(o Options) error {
 	return o.Supervise("drill-Gfetch", func(o Options) error {
-		_, err := o.runInstance("Gfetch", metrics.RunSpec{
-			Config: o.config(), Policy: policy.NewDefault(), Workers: o.Workers, Sched: sched.Affinity,
-			Chaos: o.Chaos,
-		})
+		_, err := o.runApp("Gfetch", nil)
 		return err
 	})
 }

@@ -181,26 +181,14 @@ func Table3(opts Options) ([]Table3Row, error) {
 	if err := refuseHealth(opts, "table3"); err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults()
 	rows := make([]Table3Row, len(Table3Apps))
-	errs := opts.pool().RunAll(len(Table3Apps), func(i int) error {
-		return opts.Supervise("table3-"+Table3Apps[i], func(o Options) error {
-			row, err := Table3Single(o, Table3Apps[i])
-			if err != nil {
-				return err
-			}
-			rows[i] = row
-			return nil
-		})
-	})
-	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		if !opts.keepGoing() {
-			return nil, err
-		}
-		rows[i] = Table3Row{App: Table3Apps[i], Err: err.Error()}
+	err := opts.Each(len(rows), func(i int) string { return "table3-" + Table3Apps[i] },
+		func(i int, o Options) (err error) {
+			rows[i], err = Table3Single(o, Table3Apps[i])
+			return err
+		}, func(i int, err error) { rows[i] = Table3Row{App: Table3Apps[i], Err: err.Error()} })
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }
@@ -317,26 +305,14 @@ func Table4(opts Options) ([]Table4Row, error) {
 	if err := refuseHealth(opts, "table4"); err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults()
 	rows := make([]Table4Row, len(Table4Apps))
-	errs := opts.pool().RunAll(len(Table4Apps), func(i int) error {
-		return opts.Supervise("table4-"+Table4Apps[i], func(o Options) error {
-			row, err := Table4Single(o, Table4Apps[i])
-			if err != nil {
-				return err
-			}
-			rows[i] = row
-			return nil
-		})
-	})
-	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		if !opts.keepGoing() {
-			return nil, err
-		}
-		rows[i] = Table4Row{App: Table4Apps[i], Err: err.Error()}
+	err := opts.Each(len(rows), func(i int) string { return "table4-" + Table4Apps[i] },
+		func(i int, o Options) (err error) {
+			rows[i], err = Table4Single(o, Table4Apps[i])
+			return err
+		}, func(i int, err error) { rows[i] = Table4Row{App: Table4Apps[i], Err: err.Error()} })
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }

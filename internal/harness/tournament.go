@@ -7,7 +7,6 @@ import (
 
 	"numasim/internal/metrics"
 	"numasim/internal/policy"
-	"numasim/internal/sched"
 	"numasim/internal/sim"
 	"numasim/internal/topology"
 )
@@ -84,40 +83,33 @@ func Tournament(opts Options) (TournamentResult, error) {
 // tournamentGrid runs the tournament over an explicit grid (the tests
 // use reduced grids to keep runtimes sane).
 func tournamentGrid(opts Options, topos, works, pols []string) (TournamentResult, error) {
-	opts = opts.withDefaults()
-
 	type cell struct {
 		topo, workload, spec string
 	}
 	var cells []cell
+	var names []string
 	for _, t := range topos {
 		for _, w := range works {
 			for _, p := range pols {
 				cells = append(cells, cell{t, w, p})
+				names = append(names, fmt.Sprintf("%s/%s/%s", t, w, p))
 			}
 		}
 	}
 
-	results := make([]metrics.RunResult, len(cells))
-	err := opts.pool().Run(len(cells), func(i int) error {
+	results, err := compare(opts, "tournament", names, func(i int, o Options) (metrics.RunResult, error) {
 		c := cells[i]
-		return opts.Supervise(fmt.Sprintf("tournament/%s/%s/%s", c.topo, c.workload, c.spec),
-			func(opts Options) error {
-				pol, err := policy.Parse(c.spec)
-				if err != nil {
-					return err
-				}
-				cfg := opts.config()
-				cfg.Topology = c.topo
-				res, err := opts.runInstance(c.workload, metrics.RunSpec{
-					Config: cfg, Policy: pol, Workers: opts.Workers, Sched: sched.Affinity,
-				})
-				if err != nil {
-					return fmt.Errorf("tournament %s/%s/%s: %w", c.topo, c.workload, c.spec, err)
-				}
-				results[i] = res
-				return nil
-			})
+		pol, err := policy.Parse(c.spec)
+		if err != nil {
+			return metrics.RunResult{}, err
+		}
+		res, err := o.runApp(c.workload, func(s *metrics.RunSpec) {
+			s.Config.Topology, s.Policy = c.topo, pol
+		})
+		if err != nil {
+			return res, fmt.Errorf("tournament %s: %w", names[i], err)
+		}
+		return res, nil
 	})
 	if err != nil {
 		return TournamentResult{}, err
